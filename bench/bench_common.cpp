@@ -1,16 +1,15 @@
 #include "bench/bench_common.h"
 
 #include <cstdlib>
+#include <deque>
 #include <iostream>
-#include <memory>
 #include <mutex>
 #include <string_view>
-#include <vector>
 
-#include "src/analysis/artifact_cache.h"
 #include "src/analysis/report.h"
 #include "src/obs/export.h"
 #include "src/obs/metrics.h"
+#include "src/sim/simulator.h"
 #include "src/util/strings.h"
 #include "src/util/thread_pool.h"
 
@@ -18,7 +17,6 @@ namespace fa::bench {
 
 namespace {
 
-bool g_verbose = false;
 std::string g_metrics_path;
 std::string g_trace_path;
 
@@ -45,12 +43,8 @@ void export_observability_at_exit() {
 void init(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--no-cache") {
-      analysis::ArtifactCache::global().set_enabled(false);
-    } else if (arg == "--no-obs") {
+    if (arg == "--no-obs") {
       obs::set_enabled(false);
-    } else if (arg == "--verbose") {
-      g_verbose = true;
     } else if (arg == "--threads" && i + 1 < argc) {
       set_threads_or_die(argv[++i]);
     } else if (arg.rfind("--threads=", 0) == 0) {
@@ -74,27 +68,24 @@ void init(int argc, char** argv) {
 }
 
 const trace::TraceDatabase& simulated(const sim::SimulationConfig& config) {
-  // Pin every database handed out here for the life of the process: bench
-  // binaries hold plain references, which must survive a cache clear.
+  // A deque never moves its elements, so every reference handed out here
+  // stays valid for the life of the process.
   static std::mutex mutex;
-  static std::vector<std::shared_ptr<const trace::TraceDatabase>> pinned;
-  auto db = analysis::ArtifactCache::global().database(config);
+  static std::deque<trace::TraceDatabase> pinned;
+  trace::TraceDatabase db = sim::simulate(config);
   std::lock_guard<std::mutex> lock(mutex);
-  pinned.push_back(std::move(db));
-  return *pinned.back();
+  return pinned.emplace_back(std::move(db));
 }
 
 const trace::TraceDatabase& shared_db() {
-  static const trace::TraceDatabase& db =
-      simulated(sim::SimulationConfig::paper_defaults());
+  static const trace::TraceDatabase db =
+      sim::simulate(sim::SimulationConfig::paper_defaults());
   return db;
 }
 
 const analysis::AnalysisPipeline& shared_pipeline() {
-  static const std::shared_ptr<const analysis::AnalysisPipeline> pipeline =
-      analysis::ArtifactCache::global().pipeline(
-          sim::SimulationConfig::paper_defaults());
-  return *pipeline;
+  static const analysis::AnalysisPipeline pipeline(shared_db());
+  return pipeline;
 }
 
 std::string render_binned(const std::string& title,
@@ -115,19 +106,7 @@ std::string render_binned(const std::string& title,
 }
 
 int finish(const paperref::Comparison& comparison) {
-  std::cout << comparison.render();
-  const auto& cache = analysis::ArtifactCache::global();
-  if (g_verbose || !cache.enabled()) {
-    const auto stats = cache.stats();
-    std::cout << "artifact cache" << (cache.enabled() ? "" : " (disabled)")
-              << ": database hits=" << stats.database.hits
-              << " misses=" << stats.database.misses
-              << " builds=" << stats.database.builds
-              << "; pipeline hits=" << stats.pipeline.hits
-              << " misses=" << stats.pipeline.misses
-              << " builds=" << stats.pipeline.builds << "\n";
-  }
-  std::cout << std::flush;
+  std::cout << comparison.render() << std::flush;
   return 0;
 }
 

@@ -1,8 +1,6 @@
 // Shared infrastructure for the experiment-reproduction binaries: one
-// full-scale simulated trace and one analysis pipeline, both obtained from
-// the process-wide artifact cache (so every binary — and every variant
-// config inside one binary — pays for each distinct simulation exactly
-// once), plus helpers for rendering binned results.
+// full-scale simulated trace and one analysis pipeline, each built once per
+// process on first use, plus helpers for rendering binned results.
 #pragma once
 
 #include <string>
@@ -19,19 +17,15 @@ namespace fa::bench {
 // Parses the shared bench flags and applies them process-wide:
 //   --threads N        worker threads for parallel_for (0 = all cores);
 //                      a non-numeric value is reported and exits with 2
-//   --no-cache         disable the artifact cache (every lookup rebuilds)
 //   --no-obs           turn off metric/span recording at runtime
 //   --metrics PATH     write the metrics JSON snapshot at exit
 //   --trace-out PATH   write the Chrome trace-event JSON at exit
-//   --verbose          print artifact-cache statistics in finish()
 // (--metrics/--trace-out also accept --flag=PATH.) Unrecognized arguments
 // are ignored so binaries can add their own.
 void init(int argc, char** argv);
 
-// Memoized simulate(config) via the global artifact cache. Ablation and
-// scenario binaries use this so their paper_defaults() baseline shares the
-// exact database object behind shared_db(). The reference stays valid for
-// the life of the process.
+// simulate(config), for ablation and scenario binaries that compare several
+// configs. The reference stays valid for the life of the process.
 const trace::TraceDatabase& simulated(const sim::SimulationConfig& config);
 
 // The paper-scale trace (5129 PMs, 4292 VMs, one year). Deterministic.

@@ -40,7 +40,6 @@ void run_workload(std::size_t threads) {
 }
 
 TEST(MetricsRegistry, CounterHandlesAreIdempotentAndStable) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   obs::Counter& a = obs::counter("test.idem", {{"k", "v"}});
   obs::Counter& b = obs::counter("test.idem", {{"k", "v"}});
@@ -55,7 +54,6 @@ TEST(MetricsRegistry, CounterHandlesAreIdempotentAndStable) {
 }
 
 TEST(MetricsRegistry, ResetZeroesValuesButKeepsHandles) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   obs::Counter& counter = obs::counter("test.reset.counter");
   obs::Gauge& gauge = obs::gauge("test.reset.gauge");
@@ -85,7 +83,6 @@ TEST(MetricsRegistry, ResetZeroesValuesButKeepsHandles) {
 }
 
 TEST(MetricsRegistry, RuntimeToggleMakesOpsNoOps) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   obs::Counter& counter = obs::counter("test.toggle");
   obs::set_enabled(false);
@@ -98,8 +95,38 @@ TEST(MetricsRegistry, RuntimeToggleMakesOpsNoOps) {
   EXPECT_EQ(counter.value(), 1u);
 }
 
+// With recording switched off at runtime (`--no-obs`), every handle op and
+// every span is a no-op; switching back on records again.
+TEST(ObsDisabled, EveryOpIsANoOp) {
+  registry().reset();
+  obs::set_enabled(false);
+  EXPECT_FALSE(obs::enabled());
+
+  obs::Counter& counter = obs::counter("disabled.counter", {{"k", "v"}});
+  counter.add(42);
+  EXPECT_EQ(counter.value(), 0u);
+
+  obs::Gauge& gauge = obs::gauge("disabled.gauge");
+  gauge.set(3.0);
+  EXPECT_EQ(gauge.value(), 0.0);
+
+  obs::Histogram& histogram = obs::histogram("disabled.hist", {1.0, 2.0});
+  histogram.record(1.5);
+  EXPECT_EQ(histogram.count(), 0u);
+
+  {
+    obs::Span span("disabled.span");
+    span.close();
+  }
+  EXPECT_TRUE(registry().span_events().empty());
+
+  obs::set_enabled(true);
+  EXPECT_TRUE(obs::enabled());
+  counter.add(1);
+  EXPECT_EQ(counter.value(), 1u);
+}
+
 TEST(MetricsRegistry, HistogramBucketPlacement) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   obs::Histogram& h = obs::histogram("test.buckets", {1.0, 10.0}, {},
                                      obs::Stability::kDeterministic);
@@ -159,8 +186,20 @@ TEST(BucketStats, QuantileBoundsAreSortedAndDeduped) {
   EXPECT_DOUBLE_EQ(bounds.front(), 15.0);
 }
 
+// Plain-data helpers do not depend on the recording switch.
+TEST(ObsDisabled, PlainDataHelpersStillWork) {
+  obs::set_enabled(false);
+  EXPECT_EQ(obs::canonical_labels({{"b", "2"}, {"a", "1"}}), "a=1,b=2");
+  for (const auto& b : {obs::duration_seconds_bounds(), obs::size_bounds(),
+                        obs::sim_lag_minutes_bounds(),
+                        obs::occupancy_bounds()}) {
+    ASSERT_GE(b.size(), 2u);
+    for (std::size_t i = 1; i < b.size(); ++i) EXPECT_LT(b[i - 1], b[i]);
+  }
+  obs::set_enabled(true);
+}
+
 TEST(MetricsRegistry, HistogramTracksExtremesAndMergesBucketStats) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   obs::Histogram& h = obs::histogram("test.merge", {1.0, 10.0}, {},
                                      obs::Stability::kDeterministic);
@@ -189,7 +228,6 @@ TEST(MetricsRegistry, HistogramTracksExtremesAndMergesBucketStats) {
 }
 
 TEST(Export, DeterministicHistogramsCarryQuantiles) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   obs::Histogram& h = obs::histogram("test.quantiles", {10.0, 100.0}, {},
                                      obs::Stability::kDeterministic);
@@ -211,7 +249,6 @@ TEST(MetricsRegistry, CanonicalLabelsSortByKey) {
 }
 
 TEST(Span, NestingRecordsDepthAndCloseOrder) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   {
     obs::Span outer("test.outer");
@@ -234,7 +271,6 @@ TEST(Span, NestingRecordsDepthAndCloseOrder) {
 }
 
 TEST(Span, CloseEndsEarlyAndIsIdempotent) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   {
     obs::Span span("test.early");
@@ -245,7 +281,6 @@ TEST(Span, CloseEndsEarlyAndIsIdempotent) {
 }
 
 TEST(Span, ThreadsGetDistinctBufferIds) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   { obs::Span span("test.tid.main"); }
   std::thread other([] { obs::Span span("test.tid.other"); });
@@ -256,7 +291,6 @@ TEST(Span, ThreadsGetDistinctBufferIds) {
 }
 
 TEST(Determinism, DeterministicJsonIsByteIdenticalAcrossThreadCounts) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   run_workload(1);
   const std::string serial = obs::deterministic_json(registry().snapshot());
@@ -271,7 +305,6 @@ TEST(Determinism, DeterministicJsonIsByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(Determinism, TimingDataStaysOutOfDeterministicSection) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   run_workload(4);
   const std::string det = obs::deterministic_json(registry().snapshot());
@@ -283,7 +316,6 @@ TEST(Determinism, TimingDataStaysOutOfDeterministicSection) {
 }
 
 TEST(Export, ToJsonEmbedsDeterministicPayloadVerbatim) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   run_workload(2);
   const auto snapshot = registry().snapshot();
@@ -300,7 +332,6 @@ TEST(Export, ToJsonEmbedsDeterministicPayloadVerbatim) {
 }
 
 TEST(Export, ChromeTraceShape) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   {
     obs::Span outer("trace.outer");
@@ -315,8 +346,15 @@ TEST(Export, ChromeTraceShape) {
   EXPECT_NE(json.find("\"name\": \"trace.outer\""), std::string::npos);
 }
 
+TEST(Export, EmptySnapshotIsWellFormed) {
+  const obs::MetricsSnapshot empty;
+  EXPECT_NE(obs::to_json(empty).find("\"deterministic\""), std::string::npos);
+  EXPECT_NE(obs::chrome_trace_json({}).find("\"traceEvents\""),
+            std::string::npos);
+  EXPECT_EQ(obs::render_table(empty), "(no metrics recorded)\n");
+}
+
 TEST(Export, TableRendersAllMetricKinds) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with FA_OBS_DISABLED";
   registry().reset();
   obs::counter("test.table.counter").add(3);
   obs::gauge("test.table.gauge").set(1.25);

@@ -1,13 +1,11 @@
 // The parallel execution layer must be a pure scheduling concern: every
 // artifact (simulated trace, analysis pipeline, k-means, bootstrap) has to
 // be bit-identical no matter how many threads run it. These tests pin that
-// contract at 1, 2 and 8 threads, and cover the artifact-cache identity
-// guarantees the bench layer relies on.
+// contract at 1, 2 and 8 threads.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "src/analysis/artifact_cache.h"
 #include "src/analysis/pipeline.h"
 #include "src/sim/simulator.h"
 #include "src/stats/bootstrap.h"
@@ -127,54 +125,6 @@ TEST_F(ParallelDeterminism, BootstrapIdenticalAcrossThreadCounts) {
     ASSERT_EQ(reference.lo, run.lo);
     ASSERT_EQ(reference.hi, run.hi);
   }
-}
-
-TEST(ArtifactCache, SameConfigSharesOneObject) {
-  auto& cache = analysis::ArtifactCache::global();
-  cache.set_enabled(true);
-  cache.clear();
-  const auto config = sim::SimulationConfig::paper_defaults().scaled(0.03);
-  const auto a = cache.database(config);
-  const auto b = cache.database(config);
-  EXPECT_EQ(a.get(), b.get());
-  const auto p1 = cache.pipeline(config);
-  const auto p2 = cache.pipeline(config);
-  EXPECT_EQ(p1.get(), p2.get());
-  EXPECT_GE(cache.hits(), 2u);
-}
-
-TEST(ArtifactCache, DifferentConfigsGetDifferentObjects) {
-  auto& cache = analysis::ArtifactCache::global();
-  cache.set_enabled(true);
-  cache.clear();
-  const auto config = sim::SimulationConfig::paper_defaults().scaled(0.03);
-  auto other = config;
-  other.seed += 1;
-  EXPECT_NE(config.fingerprint(), other.fingerprint());
-  const auto a = cache.database(config);
-  const auto b = cache.database(other);
-  EXPECT_NE(a.get(), b.get());
-}
-
-TEST(ArtifactCache, DisabledCacheRebuilds) {
-  auto& cache = analysis::ArtifactCache::global();
-  cache.clear();
-  cache.set_enabled(false);
-  const auto config = sim::SimulationConfig::paper_defaults().scaled(0.03);
-  const auto a = cache.database(config);
-  const auto b = cache.database(config);
-  EXPECT_NE(a.get(), b.get());
-  cache.set_enabled(true);
-}
-
-TEST(ArtifactCache, CachedContextTiesDbToPipeline) {
-  auto& cache = analysis::ArtifactCache::global();
-  cache.set_enabled(true);
-  cache.clear();
-  const auto config = sim::SimulationConfig::paper_defaults().scaled(0.03);
-  const auto ctx = analysis::cached_context(config);
-  // The pipeline analyzes exactly the cached database object.
-  EXPECT_EQ(&ctx.pipeline->db(), ctx.db.get());
 }
 
 TEST(ParallelFor, PropagatesExceptions) {

@@ -23,8 +23,7 @@
 //       fail their checksum are skipped, the degraded-read report is
 //       printed, and the analysis is marked as covering partial data.
 //       Without DIR, the report runs on a default simulated trace
-//       (paper defaults scaled by --scale, default 0.1) via the artifact
-//       cache — no files needed.
+//       (paper defaults scaled by --scale, default 0.1) — no files needed.
 //
 //   fa_trace profile [COMMAND ...]
 //       Run any fa_trace command (default: report on the default
@@ -129,10 +128,11 @@
 //
 // Global flags (any command):
 //   --threads N       worker threads for parallel stages (0 = all cores)
-//   --no-cache        disable the in-process artifact cache
 //   --no-obs          turn off metric/span recording at runtime
 //   --metrics PATH    write the metrics JSON snapshot before exiting
 //   --trace-out PATH  write the Chrome trace-event JSON before exiting
+//
+// A malformed numeric flag value (e.g. `--seed abc`) is a usage error.
 //
 // Exit codes: 0 success, 1 analysis/data error, 2 usage error,
 // 3 I/O failure (unreadable, truncated or crash-damaged file).
@@ -146,14 +146,15 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <tuple>
 #include <vector>
 
-#include "src/analysis/artifact_cache.h"
 #include "src/analysis/failure_rates.h"
 #include "src/analysis/interfailure.h"
 #include "src/analysis/out_of_core.h"
@@ -177,6 +178,7 @@
 #include "src/trace/recovery.h"
 #include "src/trace/sanitize.h"
 #include "src/trace/trace_writer.h"
+#include "src/util/csv.h"
 #include "src/util/error.h"
 #include "src/util/io.h"
 #include "src/util/strings.h"
@@ -218,7 +220,7 @@ int usage() {
          "  fa_trace corrupt --in DIR --out DIR [--seed N] [--rate R]\n"
          "                   [--mix class=rate,...] [--counts-csv FILE]\n"
          "  fa_trace profile [COMMAND ...]\n"
-         "global flags: --threads N, --no-cache, --no-obs,\n"
+         "global flags: --threads N, --no-obs,\n"
          "              --metrics PATH, --trace-out PATH\n"
          "exit codes: 0 ok, 1 analysis/data error, 2 usage, 3 I/O failure\n";
   return 2;
@@ -241,15 +243,56 @@ void write_text_file(const std::string& path, const std::string& text) {
   require(out.good(), "failed writing " + path);
 }
 
-// Loads a CSV directory or a columnar file and runs the analysis pipeline
-// over it, sharing both artifacts through the process-wide cache (so a
-// future multi-command mode pays for each trace once).
-analysis::AnalysisContext loaded_context(const std::string& dir) {
-  auto db = std::make_shared<const trace::TraceDatabase>(
-      trace::is_columnar_file(dir) ? trace::load_columnar(dir)
-                                   : trace::load_database(dir));
-  auto pipeline = analysis::ArtifactCache::global().pipeline(db);
+// A malformed command line; main reports it and exits with code 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+// Numeric flag values go through the strict field parsers, so a typo such
+// as `--seed abc` is a usage error instead of a silent 0.
+double number_flag(const std::string& flag, const std::string& value) {
+  try {
+    return parse_finite_double(value);
+  } catch (const Error&) {
+    throw UsageError("invalid " + flag + " value '" + value +
+                     "' (expected a finite number)");
+  }
+}
+
+// A non-negative integer flag value that fits in T.
+template <typename T>
+T count_flag(const std::string& flag, const std::string& value) {
+  try {
+    const std::int64_t v = parse_int(value);
+    if (v >= 0 &&
+        static_cast<std::uint64_t>(v) <= std::numeric_limits<T>::max()) {
+      return static_cast<T>(v);
+    }
+  } catch (const Error&) {
+  }
+  throw UsageError("invalid " + flag + " value '" + value +
+                   "' (expected an integer in [0, " +
+                   std::to_string(std::numeric_limits<T>::max()) + "])");
+}
+
+// A trace and the analysis pipeline over it (the pipeline refers into the
+// database, so the two travel together).
+struct Analyzed {
+  std::shared_ptr<const trace::TraceDatabase> db;
+  std::shared_ptr<const analysis::AnalysisPipeline> pipeline;
+};
+
+Analyzed analyze(std::shared_ptr<const trace::TraceDatabase> db) {
+  auto pipeline = std::make_shared<const analysis::AnalysisPipeline>(*db);
   return {std::move(db), std::move(pipeline)};
+}
+
+// Loads a CSV directory or a columnar file.
+std::shared_ptr<const trace::TraceDatabase> load_trace(
+    const std::string& path) {
+  return std::make_shared<const trace::TraceDatabase>(
+      trace::is_columnar_file(path) ? trace::load_columnar(path)
+                                    : trace::load_database(path));
 }
 
 int cmd_simulate(const std::vector<std::string>& args) {
@@ -264,17 +307,17 @@ int cmd_simulate(const std::vector<std::string>& args) {
     if (args[i] == "--out" && i + 1 < args.size()) {
       out = args[++i];
     } else if (args[i] == "--scale" && i + 1 < args.size()) {
-      scale = std::atof(args[++i].c_str());
+      scale = number_flag("--scale", args[++i]);
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = std::strtoull(args[++i].c_str(), nullptr, 10);
+      seed = count_flag<std::uint64_t>("--seed", args[++i]);
       have_seed = true;
     } else if (args[i] == "--checkpoint-every" && i + 1 < args.size()) {
-      checkpoint_every = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
+      checkpoint_every =
+          count_flag<std::uint32_t>("--checkpoint-every", args[++i]);
     } else if (args[i] == "--io-crash-at" && i + 1 < args.size()) {
-      io_crash_at = std::strtoll(args[++i].c_str(), nullptr, 10);
+      io_crash_at = count_flag<std::int64_t>("--io-crash-at", args[++i]);
     } else if (args[i] == "--io-seed" && i + 1 < args.size()) {
-      io_seed = std::strtoull(args[++i].c_str(), nullptr, 10);
+      io_seed = count_flag<std::uint64_t>("--io-seed", args[++i]);
     } else {
       std::cerr << "simulate: unknown argument '" << args[i] << "'\n";
       return usage();
@@ -311,8 +354,7 @@ int cmd_simulate(const std::vector<std::string>& args) {
     return 0;
   }
 
-  const auto db_ptr = analysis::ArtifactCache::global().database(config);
-  const trace::TraceDatabase& db = *db_ptr;
+  const trace::TraceDatabase db = sim::simulate(config);
   const auto validation = sim::validate_trace(db, config);
   trace::save_database(db, out);
   std::cout << "wrote " << db.servers().size() << " servers, "
@@ -322,12 +364,13 @@ int cmd_simulate(const std::vector<std::string>& args) {
 }
 
 int cmd_report(const std::string& dir, bool lenient, double scale) {
-  analysis::AnalysisContext ctx;
+  Analyzed ctx;
   if (dir.empty()) {
-    // No trace directory: report on the default simulation (via the cache,
-    // so `profile report` exercises the full simulate + analyze path).
+    // No trace directory: report on the default simulation (so `profile
+    // report` exercises the full simulate + analyze path).
     const auto config = sim::SimulationConfig::paper_defaults().scaled(scale);
-    ctx = analysis::cached_context(config);
+    ctx = analyze(
+        std::make_shared<const trace::TraceDatabase>(sim::simulate(config)));
   } else if (lenient && trace::is_columnar_file(dir)) {
     // Storage-level leniency: skip checksum-failing chunks, report what was
     // lost and analyze the surviving rows (clearly marked as partial).
@@ -340,8 +383,7 @@ int cmd_report(const std::string& dir, bool lenient, double scale) {
                    "the file with `fa_trace recover`\n";
     }
     std::cout << "\n";
-    auto pipeline = analysis::ArtifactCache::global().pipeline(db);
-    ctx = {std::move(db), std::move(pipeline)};
+    ctx = analyze(std::move(db));
   } else if (lenient) {
     auto result = analysis::analyze_lenient(dir);
     std::cout << result.report.to_string();
@@ -352,7 +394,7 @@ int cmd_report(const std::string& dir, bool lenient, double scale) {
     std::cout << "\n";
     ctx = {std::move(result.db), std::move(result.pipeline)};
   } else {
-    ctx = loaded_context(dir);
+    ctx = analyze(load_trace(dir));
   }
   const trace::TraceDatabase& db = *ctx.db;
   const analysis::AnalysisPipeline& pipeline = *ctx.pipeline;
@@ -451,8 +493,7 @@ int cmd_convert(const std::vector<std::string>& args) {
     } else if (args[i] == "--out" && i + 1 < args.size()) {
       out = args[++i];
     } else if (args[i] == "--chunk-rows" && i + 1 < args.size()) {
-      chunk_rows = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
+      chunk_rows = count_flag<std::uint32_t>("--chunk-rows", args[++i]);
     } else {
       std::cerr << "convert: unknown argument '" << args[i] << "'\n";
       return usage();
@@ -588,44 +629,45 @@ struct StreamFlags {
   std::string stats_out;          // heartbeat JSONL sink ("" = stdout)
 };
 
-// Parses one --shift D:F operand ("rate x F from stream day D on").
-bool parse_shift(const std::string& spec,
-                 std::vector<std::pair<double, double>>& out) {
+// Splits a FIRST:SECOND operand of `flag` at its colon; throws UsageError
+// when either side is empty.
+std::pair<std::string, std::string> split_pair(const std::string& flag,
+                                               const std::string& spec,
+                                               const char* shape) {
   const auto colon = spec.find(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 >= spec.size()) {
-    std::cerr << "--shift expects DAY:FACTOR, got '" << spec << "'\n";
-    return false;
+  if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) {
+    throw UsageError(flag + " expects " + shape + ", got '" + spec + "'");
   }
-  out.emplace_back(std::atof(spec.substr(0, colon).c_str()),
-                   std::atof(spec.c_str() + colon + 1));
-  return true;
+  return {spec.substr(0, colon), spec.substr(colon + 1)};
 }
 
 // Consumes a stream flag at args[i] if it is one; returns true and advances
-// `i` past any operand. `ok` turns false on a malformed operand.
+// `i` past any operand.
 bool consume_stream_flag(const std::vector<std::string>& args, std::size_t& i,
-                         StreamFlags& flags, bool& ok) {
+                         StreamFlags& flags) {
   const std::string& arg = args[i];
   const bool has_operand = i + 1 < args.size();
   if (arg == "--shift" && has_operand) {
-    ok = parse_shift(args[++i], flags.shifts) && ok;
+    // "rate x FACTOR from stream day DAY on"
+    const auto [day, factor] = split_pair("--shift", args[++i], "DAY:FACTOR");
+    flags.shifts.emplace_back(number_flag("--shift", day),
+                              number_flag("--shift", factor));
   } else if (arg == "--cutoff" && has_operand) {
-    flags.cutoff_days = std::atof(args[++i].c_str());
+    flags.cutoff_days = number_flag(arg, args[++i]);
   } else if (arg == "--threshold" && has_operand) {
-    flags.threshold_nats = std::atof(args[++i].c_str());
+    flags.threshold_nats = number_flag(arg, args[++i]);
   } else if (arg == "--warmup-weeks" && has_operand) {
-    flags.warmup_weeks = std::atof(args[++i].c_str());
+    flags.warmup_weeks = number_flag(arg, args[++i]);
   } else if (arg == "--ooo" && has_operand) {
     flags.ooo = args[++i];
   } else if (arg == "--slack" && has_operand) {
-    flags.slack_minutes = std::atof(args[++i].c_str());
+    flags.slack_minutes = number_flag(arg, args[++i]);
   } else if (arg == "--score") {
     flags.score = true;
   } else if (arg == "--horizon" && has_operand) {
-    flags.horizon_days = std::atof(args[++i].c_str());
+    flags.horizon_days = number_flag(arg, args[++i]);
   } else if (arg == "--stats-every" && has_operand) {
-    flags.stats_every_days = std::atof(args[++i].c_str());
+    flags.stats_every_days = number_flag(arg, args[++i]);
   } else if (arg == "--stats-out" && has_operand) {
     flags.stats_out = args[++i];
   } else {
@@ -678,14 +720,13 @@ int cmd_watch(const std::vector<std::string>& args) {
   std::uint64_t seed = 0;
   bool have_seed = false;
   StreamFlags flags;
-  bool flags_ok = true;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (consume_stream_flag(args, i, flags, flags_ok)) {
+    if (consume_stream_flag(args, i, flags)) {
       continue;
     } else if (args[i] == "--scale" && i + 1 < args.size()) {
-      scale = std::atof(args[++i].c_str());
+      scale = number_flag("--scale", args[++i]);
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = std::strtoull(args[++i].c_str(), nullptr, 10);
+      seed = count_flag<std::uint64_t>("--seed", args[++i]);
       have_seed = true;
     } else if (args[i] == "--alerts-out" && i + 1 < args.size()) {
       alerts_out = args[++i];
@@ -696,7 +737,7 @@ int cmd_watch(const std::vector<std::string>& args) {
       return usage();
     }
   }
-  if (!flags_ok || scale <= 0.0) return usage();
+  if (scale <= 0.0) return usage();
   if (!flags.stats_out.empty() && flags.stats_every_days <= 0.0) {
     std::cerr << "watch: --stats-out needs --stats-every D\n";
     return usage();
@@ -706,11 +747,9 @@ int cmd_watch(const std::vector<std::string>& args) {
   if (dir.empty()) {
     auto config = sim::SimulationConfig::paper_defaults().scaled(scale);
     if (have_seed) config.seed = seed;
-    db = analysis::ArtifactCache::global().database(config);
+    db = std::make_shared<const trace::TraceDatabase>(sim::simulate(config));
   } else {
-    db = std::make_shared<const trace::TraceDatabase>(
-        trace::is_columnar_file(dir) ? trace::load_columnar(dir)
-                                     : trace::load_database(dir));
+    db = load_trace(dir);
   }
 
   const sim::StreamScenario scenario = build_scenario(flags, db->window());
@@ -766,44 +805,33 @@ int cmd_watch(const std::vector<std::string>& args) {
   return 0;
 }
 
-// Parses one --throttle T:MIN operand ("tenant T is a slow consumer that
-// takes MIN sim-minutes per event").
-bool parse_throttle(const std::string& spec,
-                    std::vector<std::pair<int, double>>& out) {
-  const auto colon = spec.find(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) {
-    std::cerr << "--throttle expects TENANT:MINUTES, got '" << spec << "'\n";
-    return false;
-  }
-  out.emplace_back(std::atoi(spec.substr(0, colon).c_str()),
-                   std::atof(spec.c_str() + colon + 1));
-  return true;
-}
-
 int cmd_serve(const std::vector<std::string>& args) {
   int tenants = 4;
   double scale = 0.3;
   std::uint64_t base_seed = 1;
   std::vector<std::pair<int, double>> throttles;  // (tenant index, minutes)
   StreamFlags flags;
-  bool flags_ok = true;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (consume_stream_flag(args, i, flags, flags_ok)) {
+    if (consume_stream_flag(args, i, flags)) {
       continue;
     } else if (args[i] == "--tenants" && i + 1 < args.size()) {
-      tenants = std::atoi(args[++i].c_str());
+      tenants = count_flag<int>("--tenants", args[++i]);
     } else if (args[i] == "--scale" && i + 1 < args.size()) {
-      scale = std::atof(args[++i].c_str());
+      scale = number_flag("--scale", args[++i]);
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      base_seed = std::strtoull(args[++i].c_str(), nullptr, 10);
+      base_seed = count_flag<std::uint64_t>("--seed", args[++i]);
     } else if (args[i] == "--throttle" && i + 1 < args.size()) {
-      flags_ok = parse_throttle(args[++i], throttles) && flags_ok;
+      // "tenant T is a slow consumer that takes MIN sim-minutes per event"
+      const auto [tenant, minutes] =
+          split_pair("--throttle", args[++i], "TENANT:MINUTES");
+      throttles.emplace_back(count_flag<int>("--throttle", tenant),
+                             number_flag("--throttle", minutes));
     } else {
       std::cerr << "serve: unknown argument '" << args[i] << "'\n";
       return usage();
     }
   }
-  if (!flags_ok || tenants <= 0 || scale <= 0.0) return usage();
+  if (tenants <= 0 || scale <= 0.0) return usage();
   if (!flags.stats_out.empty() && flags.stats_every_days <= 0.0) {
     std::cerr << "serve: --stats-out needs --stats-every D\n";
     return usage();
@@ -995,7 +1023,7 @@ int cmd_top(const std::string& path) {
 }
 
 int cmd_classify(const std::string& dir) {
-  const auto ctx = loaded_context(dir);
+  const auto ctx = analyze(load_trace(dir));
   const analysis::AnalysisPipeline& pipeline = *ctx.pipeline;
   const auto& result = pipeline.classification();
 
@@ -1017,7 +1045,7 @@ int cmd_classify(const std::string& dir) {
 
 int cmd_fit(const std::string& dir, const std::string& metric,
             const std::string& type_name) {
-  const auto ctx = loaded_context(dir);
+  const auto ctx = analyze(load_trace(dir));
   const trace::TraceDatabase& db = *ctx.db;
   const analysis::AnalysisPipeline& pipeline = *ctx.pipeline;
   const auto type = trace::machine_type_from_string(
@@ -1051,7 +1079,7 @@ int cmd_fit(const std::string& dir, const std::string& metric,
 }
 
 int cmd_transitions(const std::string& dir) {
-  const auto ctx = loaded_context(dir);
+  const auto ctx = analyze(load_trace(dir));
   const trace::TraceDatabase& db = *ctx.db;
   const analysis::AnalysisPipeline& pipeline = *ctx.pipeline;
   const auto result = analysis::analyze_transitions(
@@ -1116,7 +1144,7 @@ bool parse_mix(const std::string& spec, inject::DefectMix& mix) {
     bool known = false;
     for (trace::DefectClass cls : trace::kAllDefectClasses) {
       if (trace::to_string(cls) == name) {
-        mix.set_rate(cls, std::atof(entry.c_str() + eq + 1));
+        mix.set_rate(cls, number_flag("--mix", entry.substr(eq + 1)));
         known = true;
         break;
       }
@@ -1140,9 +1168,9 @@ int cmd_corrupt(const std::vector<std::string>& args) {
     } else if (args[i] == "--out" && i + 1 < args.size()) {
       out_dir = args[++i];
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = std::strtoull(args[++i].c_str(), nullptr, 10);
+      seed = count_flag<std::uint64_t>("--seed", args[++i]);
     } else if (args[i] == "--rate" && i + 1 < args.size()) {
-      rate = std::atof(args[++i].c_str());
+      rate = number_flag("--rate", args[++i]);
       have_rate = true;
     } else if (args[i] == "--mix" && i + 1 < args.size()) {
       mix_spec = args[++i];
@@ -1186,7 +1214,7 @@ int run_command(const std::vector<std::string>& args) {
       if (rest[i] == "--lenient") {
         lenient = true;
       } else if (rest[i] == "--scale" && i + 1 < rest.size()) {
-        scale = std::atof(rest[++i].c_str());
+        scale = number_flag("--scale", rest[++i]);
       } else if (dir.empty() && !rest[i].starts_with("--")) {
         dir = rest[i];
       } else {
@@ -1239,8 +1267,7 @@ int run_command(const std::vector<std::string>& args) {
 }
 
 // Amdahl sweep behind `fa_trace profile`: re-runs the profiled command at
-// 1, 2, 4 and 8 worker threads (cold artifact cache, fresh registry, stdout
-// suppressed), then least-squares-fits the serial fraction of every stage
+// 1, 2, 4 and 8 worker threads (fresh registry, stdout suppressed), then least-squares-fits the serial fraction of every stage
 // span recorded in all four runs (stats::amdahl_serial_fraction). A
 // fraction near 1 means the stage does not scale with threads.
 void print_amdahl_sweep(const std::vector<std::string>& args) {
@@ -1249,7 +1276,6 @@ void print_amdahl_sweep(const std::vector<std::string>& args) {
   std::map<std::string, std::size_t> seen;
   const std::size_t previous = fa::ThreadPool::default_thread_count();
   for (std::size_t ti = 0; ti < kThreads.size(); ++ti) {
-    fa::analysis::ArtifactCache::global().clear();
     fa::obs::MetricsRegistry::global().reset();
     fa::ThreadPool::set_default_thread_count(
         static_cast<std::size_t>(kThreads[ti]));
@@ -1306,20 +1332,16 @@ int main(int argc, char** argv) {
   std::string metrics_path, trace_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--no-cache") {
-      fa::analysis::ArtifactCache::global().set_enabled(false);
-    } else if (arg == "--no-obs") {
+    if (arg == "--no-obs") {
       fa::obs::set_enabled(false);
     } else if (arg == "--threads" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0') {
-        std::cerr << "invalid --threads value '" << value
-                  << "' (expected a non-negative integer)\n";
+      try {
+        fa::ThreadPool::set_default_thread_count(
+            count_flag<std::size_t>(arg, argv[++i]));
+      } catch (const UsageError& e) {
+        std::cerr << e.what() << "\n";
         return 2;
       }
-      fa::ThreadPool::set_default_thread_count(static_cast<std::size_t>(n));
     } else if (arg == "--metrics" && i + 1 < argc) {
       metrics_path = argv[++i];
     } else if (arg.rfind("--metrics=", 0) == 0) {
@@ -1345,6 +1367,9 @@ int main(int argc, char** argv) {
   int rc;
   try {
     rc = run_command(args);
+  } catch (const UsageError& e) {
+    std::cerr << e.what() << "\n";
+    rc = 2;
   } catch (const fa::io::IoError& e) {
     std::cerr << "i/o error: " << e.what() << "\n";
     rc = 3;
