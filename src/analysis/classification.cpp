@@ -10,22 +10,40 @@
 #include "src/text/vocabulary.h"
 #include "src/util/error.h"
 #include "src/util/strings.h"
+#include "src/util/thread_pool.h"
 
 namespace fa::analysis {
 
 std::vector<const trace::Ticket*> extract_crash_tickets(
     const trace::TraceDatabase& db) {
+  // Blocks of a fixed ticket count are scanned in parallel; their bounds
+  // depend only on the ticket count, and concatenating the per-block
+  // matches in block order keeps ticket order at any thread count.
+  constexpr std::size_t kBlockTickets = 8192;
   const auto symptoms = text::crash_symptoms();
-  std::vector<const trace::Ticket*> out;
-  std::string description;  // reused across tickets; lowering is the hot loop
-  for (const trace::Ticket& t : db.tickets()) {
-    to_lower_into(t.description, description);
-    for (std::string_view symptom : symptoms) {
-      if (description.find(symptom) != std::string::npos) {
-        out.push_back(&t);
-        break;
+  const std::vector<trace::Ticket>& tickets = db.tickets();
+  const std::size_t blocks =
+      (tickets.size() + kBlockTickets - 1) / kBlockTickets;
+  std::vector<std::vector<const trace::Ticket*>> matches(blocks);
+  parallel_for(blocks, [&](std::size_t b) {
+    std::string description;  // reused across tickets; lowering is the hot loop
+    const std::size_t end = std::min(tickets.size(), (b + 1) * kBlockTickets);
+    for (std::size_t i = b * kBlockTickets; i < end; ++i) {
+      to_lower_into(tickets[i].description, description);
+      for (std::string_view symptom : symptoms) {
+        if (description.find(symptom) != std::string::npos) {
+          matches[b].push_back(&tickets[i]);
+          break;
+        }
       }
     }
+  });
+  std::size_t total = 0;
+  for (const auto& block : matches) total += block.size();
+  std::vector<const trace::Ticket*> out;
+  out.reserve(total);
+  for (const auto& block : matches) {
+    out.insert(out.end(), block.begin(), block.end());
   }
   return out;
 }

@@ -57,8 +57,8 @@ std::vector<TenantResult> serve_tenants(const std::vector<TenantSpec>& specs,
   std::vector<TenantResult> results(specs.size());
   // Tenant i writes only slot i and owns all of its randomness (the config
   // seed), so the result set is independent of scheduling. The inner
-  // simulate() also uses parallel_for; nested calls are safe because a
-  // caller always drains its own batch.
+  // simulate() also uses parallel_for; the pool runs such nested calls on
+  // the tenant's thread and any idle workers (see thread_pool.h).
   parallel_for(specs.size(), [&](std::size_t i) {
     results[i] = serve_tenant(specs[i], score_options, health);
   });

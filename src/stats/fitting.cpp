@@ -13,9 +13,11 @@ namespace fa::stats {
 namespace {
 
 void check_positive(std::span<const double> xs, const char* who) {
-  require(xs.size() >= 2, std::string(who) + ": need at least two samples");
+  require(xs.size() >= 2,
+          [&] { return std::string(who) + ": need at least two samples"; });
   for (double x : xs) {
-    require(x > 0.0, std::string(who) + ": samples must be positive");
+    require(x > 0.0,
+            [&] { return std::string(who) + ": samples must be positive"; });
   }
 }
 

@@ -388,6 +388,40 @@ void record_kmeans_metrics(const IterationStats& stats) {
   pruned.add(stats.distances_pruned);
 }
 
+// Runs options.restarts independent restarts of `run_once(rng)` and keeps
+// the best. The restart RNGs are forked serially up front, so the caller's
+// generator advances the same way at any thread count; the restarts then
+// fan out over the pool, and the winner is picked by (inertia, restart
+// index), which makes the result independent of completion order. A
+// restart may itself call parallel_for (the sparse assignment step does):
+// idle workers join those nested loops once the restarts run out.
+template <typename RunOnce>
+KMeansResult best_of_restarts(const KMeansOptions& options, Rng& rng,
+                              const RunOnce& run_once) {
+  std::vector<Rng> restart_rngs;
+  restart_rngs.reserve(static_cast<std::size_t>(options.restarts));
+  for (int r = 0; r < options.restarts; ++r) {
+    restart_rngs.push_back(rng.fork(static_cast<std::uint64_t>(r)));
+  }
+  std::vector<KMeansResult> runs(restart_rngs.size());
+  parallel_for(runs.size(),
+               [&](std::size_t r) { runs[r] = run_once(restart_rngs[r]); });
+
+  IterationStats stats;
+  stats.iterations_per_restart.reserve(runs.size());
+  std::size_t best = 0;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    stats.iterations_per_restart.push_back(runs[r].iterations);
+    stats.distances_computed += runs[r].stats.distances_computed;
+    stats.distances_pruned += runs[r].stats.distances_pruned;
+    if (runs[r].inertia < runs[best].inertia) best = r;
+  }
+  KMeansResult result = std::move(runs[best]);
+  result.stats = std::move(stats);
+  record_kmeans_metrics(result.stats);
+  return result;
+}
+
 }  // namespace
 
 KMeansResult kmeans(std::span<const std::vector<double>> points,
@@ -402,35 +436,9 @@ KMeansResult kmeans(std::span<const std::vector<double>> points,
     require(p.size() == dim, "kmeans: inconsistent point dimensionality");
   }
 
-  // Derive one RNG per restart up front (serially, so the caller's generator
-  // advances the same way at any thread count), then fan the restarts out.
-  // The winner is picked by (inertia, restart index), which makes the result
-  // independent of completion order.
-  std::vector<Rng> restart_rngs;
-  restart_rngs.reserve(static_cast<std::size_t>(options.restarts));
-  for (int r = 0; r < options.restarts; ++r) {
-    restart_rngs.push_back(rng.fork(static_cast<std::uint64_t>(r)));
-  }
-  std::vector<KMeansResult> runs(static_cast<std::size_t>(options.restarts));
-  parallel_for(runs.size(), [&](std::size_t r) {
-    runs[r] = run_once(points, options, restart_rngs[r]);
+  return best_of_restarts(options, rng, [&](Rng& restart_rng) {
+    return run_once(points, options, restart_rng);
   });
-
-  IterationStats stats;
-  stats.iterations_per_restart.reserve(runs.size());
-  for (const KMeansResult& run : runs) {
-    stats.iterations_per_restart.push_back(run.iterations);
-    stats.distances_computed += run.stats.distances_computed;
-    stats.distances_pruned += run.stats.distances_pruned;
-  }
-  std::size_t best = 0;
-  for (std::size_t r = 1; r < runs.size(); ++r) {
-    if (runs[r].inertia < runs[best].inertia) best = r;
-  }
-  KMeansResult result = std::move(runs[best]);
-  result.stats = std::move(stats);
-  record_kmeans_metrics(result.stats);
-  return result;
 }
 
 KMeansResult kmeans(const SparseMatrix& points, const KMeansOptions& options,
@@ -445,29 +453,9 @@ KMeansResult kmeans(const SparseMatrix& points, const KMeansOptions& options,
             "kmeans: anchor dimensionality mismatch");
   }
 
-  // Same restart discipline as the dense overload (restart RNGs forked
-  // serially up front, winner picked by (inertia, restart index)), but the
-  // restarts themselves run serially: the parallelism lives inside the
-  // chunked assignment step, and nested parallel regions are unsupported.
-  std::vector<Rng> restart_rngs;
-  restart_rngs.reserve(static_cast<std::size_t>(options.restarts));
-  for (int r = 0; r < options.restarts; ++r) {
-    restart_rngs.push_back(rng.fork(static_cast<std::uint64_t>(r)));
-  }
-  KMeansResult best;
-  best.inertia = std::numeric_limits<double>::infinity();
-  IterationStats stats;
-  stats.iterations_per_restart.reserve(restart_rngs.size());
-  for (std::size_t r = 0; r < restart_rngs.size(); ++r) {
-    auto run = run_once_sparse(points, options, restart_rngs[r]);
-    stats.iterations_per_restart.push_back(run.iterations);
-    stats.distances_computed += run.stats.distances_computed;
-    stats.distances_pruned += run.stats.distances_pruned;
-    if (r == 0 || run.inertia < best.inertia) best = std::move(run);
-  }
-  best.stats = std::move(stats);
-  record_kmeans_metrics(best.stats);
-  return best;
+  return best_of_restarts(options, rng, [&](Rng& restart_rng) {
+    return run_once_sparse(points, options, restart_rng);
+  });
 }
 
 }  // namespace fa::stats

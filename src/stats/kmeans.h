@@ -83,9 +83,9 @@ KMeansResult kmeans(std::span<const std::vector<double>> points,
 // so points whose nearest centroid cannot have changed skip the full
 // centroid scan. The assignment step is chunk-parallel with chunk
 // boundaries fixed by n alone and a serial in-order reduction, so the
-// result is bit-identical at any thread count (see docs/PERF.md). Restarts
-// run serially; the per-point parallelism replaces the dense overload's
-// per-restart parallelism.
+// result is bit-identical at any thread count (see docs/PERF.md). As in the
+// dense overload, restarts run in parallel; each restart's assignment step
+// is a nested parallel loop inside it.
 KMeansResult kmeans(const SparseMatrix& points, const KMeansOptions& options,
                     Rng& rng);
 

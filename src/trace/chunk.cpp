@@ -451,11 +451,12 @@ ChunkView::ChunkView(Table table, const ChunkInfo& info, const std::byte* base,
 
     const std::size_t bitmap_bytes = padded((rows_ + 7) / 8);
     auto expect_size = [&](std::size_t want) {
-      require(block.size == want,
-              "columnar: column " + std::string(schema[ci].name) + " of " +
-                  std::string(table_name(table)) + " has size " +
-                  std::to_string(block.size) + " bytes, expected " +
-                  std::to_string(want));
+      require(block.size == want, [&] {
+        return "columnar: column " + std::string(schema[ci].name) + " of " +
+               std::string(table_name(table)) + " has size " +
+               std::to_string(block.size) + " bytes, expected " +
+               std::to_string(want);
+      });
     };
 
     switch (schema[ci].encoding) {

@@ -6,7 +6,10 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <exception>
 #include <fstream>
+#include <functional>
+#include <optional>
 
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
@@ -654,100 +657,184 @@ void append_record(columnar::ChunkBuilder& b, const MonthlySnapshot& s) {
   b.next_row();
 }
 
+namespace {
+
+// The enum-like columns are validated row by row; the message is built only
+// when a value is out of range.
+Subsystem checked_subsystem(std::int64_t value) {
+  require(value >= 0 && value < kSubsystemCount, [&] {
+    return "columnar: invalid subsystem " + std::to_string(value);
+  });
+  return static_cast<Subsystem>(value);
+}
+
+// Checks that rows [first, first + count) lie inside the chunk.
+void require_rows(const ChunkView& view, std::uint32_t first,
+                  std::size_t count) {
+  require(first <= view.rows() && count <= view.rows() - first,
+          "columnar: decoded rows escape the chunk");
+}
+
+}  // namespace
+
+void decode_rows(const ChunkView& view, std::uint32_t first,
+                 std::int64_t first_row_id, std::span<ServerRecord> out) {
+  using namespace columnar::col;
+  require_rows(view, first, out.size());
+  const auto type = view.column(kServerType).u8_span();
+  const auto subsystem = view.column(kServerSubsystem).u8_span();
+  const auto cpu_count = view.column(kServerCpuCount).i32_span();
+  const auto memory_gb = view.column(kServerMemoryGb).f64_span();
+  const columnar::ColumnView& disk_gb = view.column(kServerDiskGb);
+  const columnar::ColumnView& disk_count = view.column(kServerDiskCount);
+  const auto host_box = view.column(kServerHostBox).i32_span();
+  const auto first_record = view.column(kServerFirstRecord).i64_span();
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    const auto row = static_cast<std::uint32_t>(first + k);
+    ServerRecord& r = out[k];
+    r.id = ServerId{static_cast<std::int32_t>(first_row_id + row)};
+    require(type[row] < kMachineTypeCount, [&] {
+      return "columnar: invalid machine type " + std::to_string(type[row]);
+    });
+    r.type = static_cast<MachineType>(type[row]);
+    r.subsystem = checked_subsystem(subsystem[row]);
+    r.cpu_count = cpu_count[row];
+    r.memory_gb = memory_gb[row];
+    r.disk_gb = disk_gb.present_at(row)
+                    ? std::optional<double>(disk_gb.double_at(row))
+                    : std::nullopt;
+    r.disk_count =
+        disk_count.present_at(row)
+            ? std::optional<int>(static_cast<int>(disk_count.int_at(row)))
+            : std::nullopt;
+    r.host_box = BoxId{host_box[row]};
+    r.first_record = first_record[row];
+  }
+}
+
+void decode_rows(const ChunkView& view, std::uint32_t first,
+                 std::int64_t first_row_id, std::span<Ticket> out) {
+  using namespace columnar::col;
+  require_rows(view, first, out.size());
+  const auto incident = view.column(kTicketIncident).i32_span();
+  const auto server = view.column(kTicketServer).i32_span();
+  const auto subsystem = view.column(kTicketSubsystem).u8_span();
+  const auto is_crash = view.column(kTicketIsCrash).u8_span();
+  const auto true_class = view.column(kTicketTrueClass).u8_span();
+  const auto opened = view.column(kTicketOpened).i64_span();
+  const auto closed = view.column(kTicketClosed).i64_span();
+  const columnar::ColumnView& description = view.column(kTicketDescription);
+  const columnar::ColumnView& resolution = view.column(kTicketResolution);
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    const auto row = static_cast<std::uint32_t>(first + k);
+    Ticket& t = out[k];
+    t.id = TicketId{static_cast<std::int32_t>(first_row_id + row)};
+    t.incident = IncidentId{incident[row]};
+    t.server = ServerId{server[row]};
+    t.subsystem = checked_subsystem(subsystem[row]);
+    require(is_crash[row] <= 1, [&] {
+      return "columnar: invalid is_crash " + std::to_string(is_crash[row]);
+    });
+    t.is_crash = is_crash[row] != 0;
+    require(true_class[row] < kFailureClassCount, [&] {
+      return "columnar: invalid failure class " +
+             std::to_string(true_class[row]);
+    });
+    t.true_class = static_cast<FailureClass>(true_class[row]);
+    t.opened = opened[row];
+    t.closed = closed[row];
+    t.description.assign(description.string_at(row));
+    t.resolution.assign(resolution.string_at(row));
+  }
+}
+
+void decode_rows(const ChunkView& view, std::uint32_t first,
+                 std::int64_t /*first_row_id*/, std::span<WeeklyUsage> out) {
+  using namespace columnar::col;
+  require_rows(view, first, out.size());
+  const auto server = view.column(kUsageServer).i32_span();
+  const auto week = view.column(kUsageWeek).i32_span();
+  const auto cpu = view.column(kUsageCpuUtil).f64_span();
+  const auto mem = view.column(kUsageMemUtil).f64_span();
+  const columnar::ColumnView& disk = view.column(kUsageDiskUtil);
+  const columnar::ColumnView& net = view.column(kUsageNetKbps);
+  const auto disk_values = disk.f64_span();
+  const auto net_values = net.f64_span();
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    const auto row = static_cast<std::uint32_t>(first + k);
+    WeeklyUsage& u = out[k];
+    u.server = ServerId{server[row]};
+    u.week = week[row];
+    u.cpu_util = cpu[row];
+    u.mem_util = mem[row];
+    u.disk_util = disk.present_at(row) ? std::optional(disk_values[row])
+                                       : std::nullopt;
+    u.net_kbps =
+        net.present_at(row) ? std::optional(net_values[row]) : std::nullopt;
+  }
+}
+
+void decode_rows(const ChunkView& view, std::uint32_t first,
+                 std::int64_t /*first_row_id*/, std::span<PowerEvent> out) {
+  using namespace columnar::col;
+  require_rows(view, first, out.size());
+  const auto server = view.column(kPowerServer).i32_span();
+  const auto at = view.column(kPowerAt).i64_span();
+  const auto on = view.column(kPowerOn).u8_span();
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    const auto row = static_cast<std::uint32_t>(first + k);
+    out[k] = {ServerId{server[row]}, at[row], on[row] != 0};
+  }
+}
+
+void decode_rows(const ChunkView& view, std::uint32_t first,
+                 std::int64_t /*first_row_id*/,
+                 std::span<MonthlySnapshot> out) {
+  using namespace columnar::col;
+  require_rows(view, first, out.size());
+  const auto server = view.column(kSnapServer).i32_span();
+  const auto month = view.column(kSnapMonth).i32_span();
+  const auto box = view.column(kSnapBox).i32_span();
+  const auto consolidation = view.column(kSnapConsolidation).i32_span();
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    const auto row = static_cast<std::uint32_t>(first + k);
+    out[k] = {ServerId{server[row]}, month[row], BoxId{box[row]},
+              consolidation[row]};
+  }
+}
+
+namespace {
+
+template <typename Row>
+Row decode_one(const ChunkView& view, std::uint32_t row,
+               std::int64_t first_row_id) {
+  Row out;
+  decode_rows(view, row, first_row_id, std::span<Row>(&out, 1));
+  return out;
+}
+
+}  // namespace
+
 ServerRecord decode_server(const ChunkView& view, std::uint32_t row,
                            std::int64_t first_row_id) {
-  using namespace columnar::col;
-  ServerRecord r;
-  r.id = ServerId{static_cast<std::int32_t>(first_row_id + row)};
-  const std::int64_t type = view.column(kServerType).int_at(row);
-  require(type >= 0 && type < kMachineTypeCount,
-          "columnar: invalid machine type " + std::to_string(type));
-  r.type = static_cast<MachineType>(type);
-  const std::int64_t sys = view.column(kServerSubsystem).int_at(row);
-  require(sys >= 0 && sys < kSubsystemCount,
-          "columnar: invalid subsystem " + std::to_string(sys));
-  r.subsystem = static_cast<Subsystem>(sys);
-  r.cpu_count = static_cast<int>(view.column(kServerCpuCount).int_at(row));
-  r.memory_gb = view.column(kServerMemoryGb).double_at(row);
-  if (view.column(kServerDiskGb).present_at(row)) {
-    r.disk_gb = view.column(kServerDiskGb).double_at(row);
-  }
-  if (view.column(kServerDiskCount).present_at(row)) {
-    r.disk_count =
-        static_cast<int>(view.column(kServerDiskCount).int_at(row));
-  }
-  r.host_box = BoxId{
-      static_cast<std::int32_t>(view.column(kServerHostBox).int_at(row))};
-  r.first_record = view.column(kServerFirstRecord).int_at(row);
-  return r;
+  return decode_one<ServerRecord>(view, row, first_row_id);
 }
 
 Ticket decode_ticket(const ChunkView& view, std::uint32_t row,
                      std::int64_t first_row_id) {
-  using namespace columnar::col;
-  Ticket t;
-  t.id = TicketId{static_cast<std::int32_t>(first_row_id + row)};
-  t.incident = IncidentId{
-      static_cast<std::int32_t>(view.column(kTicketIncident).int_at(row))};
-  t.server = ServerId{
-      static_cast<std::int32_t>(view.column(kTicketServer).int_at(row))};
-  const std::int64_t sys = view.column(kTicketSubsystem).int_at(row);
-  require(sys >= 0 && sys < kSubsystemCount,
-          "columnar: invalid subsystem " + std::to_string(sys));
-  t.subsystem = static_cast<Subsystem>(sys);
-  const std::int64_t crash = view.column(kTicketIsCrash).int_at(row);
-  require(crash == 0 || crash == 1,
-          "columnar: invalid is_crash " + std::to_string(crash));
-  t.is_crash = crash != 0;
-  const std::int64_t cls = view.column(kTicketTrueClass).int_at(row);
-  require(cls >= 0 && cls < kFailureClassCount,
-          "columnar: invalid failure class " + std::to_string(cls));
-  t.true_class = static_cast<FailureClass>(cls);
-  t.opened = view.column(kTicketOpened).int_at(row);
-  t.closed = view.column(kTicketClosed).int_at(row);
-  t.description = std::string(view.column(kTicketDescription).string_at(row));
-  t.resolution = std::string(view.column(kTicketResolution).string_at(row));
-  return t;
+  return decode_one<Ticket>(view, row, first_row_id);
 }
 
 WeeklyUsage decode_weekly_usage(const ChunkView& view, std::uint32_t row) {
-  using namespace columnar::col;
-  WeeklyUsage u;
-  u.server = ServerId{
-      static_cast<std::int32_t>(view.column(kUsageServer).int_at(row))};
-  u.week = static_cast<int>(view.column(kUsageWeek).int_at(row));
-  u.cpu_util = view.column(kUsageCpuUtil).double_at(row);
-  u.mem_util = view.column(kUsageMemUtil).double_at(row);
-  if (view.column(kUsageDiskUtil).present_at(row)) {
-    u.disk_util = view.column(kUsageDiskUtil).double_at(row);
-  }
-  if (view.column(kUsageNetKbps).present_at(row)) {
-    u.net_kbps = view.column(kUsageNetKbps).double_at(row);
-  }
-  return u;
+  return decode_one<WeeklyUsage>(view, row, 0);
 }
 
 PowerEvent decode_power_event(const ChunkView& view, std::uint32_t row) {
-  using namespace columnar::col;
-  PowerEvent e;
-  e.server = ServerId{
-      static_cast<std::int32_t>(view.column(kPowerServer).int_at(row))};
-  e.at = view.column(kPowerAt).int_at(row);
-  e.powered_on = view.column(kPowerOn).int_at(row) != 0;
-  return e;
+  return decode_one<PowerEvent>(view, row, 0);
 }
 
 MonthlySnapshot decode_snapshot(const ChunkView& view, std::uint32_t row) {
-  using namespace columnar::col;
-  MonthlySnapshot s;
-  s.server = ServerId{
-      static_cast<std::int32_t>(view.column(kSnapServer).int_at(row))};
-  s.month = static_cast<int>(view.column(kSnapMonth).int_at(row));
-  s.box = BoxId{
-      static_cast<std::int32_t>(view.column(kSnapBox).int_at(row))};
-  s.consolidation =
-      static_cast<int>(view.column(kSnapConsolidation).int_at(row));
-  return s;
+  return decode_one<MonthlySnapshot>(view, row, 0);
 }
 
 // ---- whole-database convenience ----
@@ -787,117 +874,141 @@ FileReport save_columnar(const TraceDatabase& db, const std::string& path,
   return writer.report();
 }
 
+namespace {
+
+// Chunks per load wave. A wave is read serially, then decoded in parallel;
+// on the buffered (non-mmap) path it bounds how many chunk copies are held.
+constexpr std::size_t kLoadWaveChunks = 8;
+
+// What a load does with a chunk that cannot be read (truncated, corrupt,
+// undecodable header, I/O error).
+enum class BadChunk {
+  kThrow,  // strict: throw its ChunkError
+  kSkip,   // lenient: record it in the report and go on
+  kStop,   // lenient: record it and read no further chunks
+};
+
+// The chunk decoder both loaders share. Chunks of `table` are read and
+// checksummed serially in index order, kLoadWaveChunks at a time; then the
+// wave's rows are decoded in parallel, one task per chunk, chunk i into
+// rows_for(i), a span exactly as long as the chunk (requested in index
+// order, right after the chunk is read). wave_done, if set, runs after
+// each wave. A row that fails to decode, or under kThrow a chunk that fails
+// to read, throws the error of the lowest-index failing chunk at any thread
+// count. Returns the index of the chunk a kStop halted at, else the chunk
+// count.
+template <typename Row>
+std::size_t decode_table(
+    const ChunkReader& reader, Table table, BadChunk on_bad,
+    DegradedReadReport* report,
+    const std::function<std::span<Row>(std::size_t)>& rows_for,
+    const std::function<void()>& wave_done = nullptr) {
+  struct Job {
+    ChunkView view;
+    std::int64_t first_row;
+    std::span<Row> rows;
+  };
+  const std::size_t chunks = reader.chunk_count(table);
+  std::int64_t first_row = 0;
+  for (std::size_t first = 0; first < chunks; first += kLoadWaveChunks) {
+    const std::size_t last = std::min(chunks, first + kLoadWaveChunks);
+    std::vector<Job> jobs;
+    jobs.reserve(last - first);
+    std::exception_ptr read_error;
+    std::size_t halted = chunks;
+    for (std::size_t i = first; i < last; ++i) {
+      const std::uint32_t rows = reader.chunk_info(table, i).rows;
+      std::optional<ChunkView> view;
+      try {
+        view.emplace(reader.chunk(table, i));
+      } catch (const ChunkError& e) {
+        if (on_bad == BadChunk::kThrow) {
+          read_error = std::current_exception();
+          break;
+        }
+        report->record(e, rows);
+        if (on_bad == BadChunk::kStop) {
+          halted = i;
+          break;
+        }
+      }
+      if (view) jobs.push_back({std::move(*view), first_row, rows_for(i)});
+      first_row += rows;
+    }
+    std::vector<std::exception_ptr> errors(jobs.size());
+    parallel_for(jobs.size(), [&](std::size_t j) {
+      Job& job = jobs[j];
+      try {
+        decode_rows(job.view, 0, job.first_row, job.rows);
+      } catch (...) {
+        errors[j] = std::current_exception();
+      }
+    });
+    for (const std::exception_ptr& error : errors) {
+      if (error) std::rethrow_exception(error);
+    }
+    if (read_error) std::rethrow_exception(read_error);
+    if (wave_done) wave_done();
+    if (halted != chunks) return halted;
+  }
+  return chunks;
+}
+
+// Strict: decodes every chunk of the table straight into rows appended to
+// `db`, each chunk into its own range.
+template <typename Row>
+void load_table(const ChunkReader& reader, Table table, TraceDatabase& db) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < reader.chunk_count(table); ++i) {
+    total += reader.chunk_info(table, i).rows;
+  }
+  const std::span<Row> rows = db.append_rows<Row>(total);
+  std::size_t next = 0;
+  decode_table<Row>(reader, table, BadChunk::kThrow, nullptr,
+                    [&](std::size_t i) {
+                      const std::span<Row> out = rows.subspan(
+                          next, reader.chunk_info(table, i).rows);
+                      next += out.size();
+                      return out;
+                    });
+}
+
+// Lenient: decodes the readable chunks of the table one wave at a time into
+// staging and hands every decoded row, in file order, to keep(). Returns
+// what decode_table returns.
+template <typename Row, typename Keep>
+std::size_t stage_table(const ChunkReader& reader, Table table,
+                        BadChunk on_bad, DegradedReadReport& report,
+                        const Keep& keep) {
+  // One staging vector per chunk of the wave. Growing `wave` moves the
+  // inner vectors, which keeps their buffers, so handed-out spans stay valid.
+  std::vector<std::vector<Row>> wave;
+  return decode_table<Row>(
+      reader, table, on_bad, &report,
+      [&](std::size_t i) -> std::span<Row> {
+        return wave.emplace_back(reader.chunk_info(table, i).rows);
+      },
+      [&] {
+        for (std::vector<Row>& rows : wave) {
+          for (Row& row : rows) keep(std::move(row));
+        }
+        wave.clear();
+      });
+}
+
+}  // namespace
+
 TraceDatabase load_columnar(const std::string& path, bool use_mmap) {
   obs::Span span("trace.columnar.load");
   ChunkReader reader(path, use_mmap);
   TraceDatabase db;
   db.set_windows(reader.window(), reader.monitoring(),
                  reader.onoff_tracking());
-  db.reserve(reader.row_count(Table::kServers),
-             reader.row_count(Table::kTickets),
-             reader.row_count(Table::kWeeklyUsage),
-             reader.row_count(Table::kPowerEvents),
-             reader.row_count(Table::kSnapshots));
-
-  std::int64_t first_row = 0;
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kServers); ++i) {
-    const ChunkView view = reader.chunk(Table::kServers, i);
-    for (std::uint32_t r = 0; r < view.rows(); ++r) {
-      db.add_server(decode_server(view, r, first_row));
-    }
-    first_row += view.rows();
-  }
-  first_row = 0;
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kTickets); ++i) {
-    using namespace columnar::col;
-    const columnar::ChunkInfo& info = reader.chunk_info(Table::kTickets, i);
-    // The footer min/max stats validate whole chunks of enum-like columns
-    // at once; fall back to per-row checks only when a chunk lacks stats.
-    const auto in_range = [&](std::size_t column, std::int64_t lo,
-                              std::int64_t hi) {
-      const columnar::ColumnStats& stats = info.columns[column].stats;
-      return stats.has_minmax && stats.min >= lo && stats.max <= hi;
-    };
-    if (!in_range(kTicketSubsystem, 0, kSubsystemCount - 1) ||
-        !in_range(kTicketIsCrash, 0, 1) ||
-        !in_range(kTicketTrueClass, 0, kFailureClassCount - 1)) {
-      const ChunkView view = reader.chunk(Table::kTickets, i);
-      for (std::uint32_t r = 0; r < view.rows(); ++r) {
-        db.add_ticket(decode_ticket(view, r, first_row));
-      }
-      first_row += view.rows();
-      continue;
-    }
-    const ChunkView view = reader.chunk(Table::kTickets, i);
-    const auto incident = view.column(kTicketIncident).i32_span();
-    const auto server = view.column(kTicketServer).i32_span();
-    const auto subsystem = view.column(kTicketSubsystem).u8_span();
-    const auto is_crash = view.column(kTicketIsCrash).u8_span();
-    const auto true_class = view.column(kTicketTrueClass).u8_span();
-    const auto opened = view.column(kTicketOpened).i64_span();
-    const auto closed = view.column(kTicketClosed).i64_span();
-    const columnar::ColumnView& description =
-        view.column(kTicketDescription);
-    const columnar::ColumnView& resolution =
-        view.column(kTicketResolution);
-    for (std::uint32_t r = 0; r < view.rows(); ++r) {
-      Ticket t;
-      t.id = TicketId{static_cast<std::int32_t>(first_row + r)};
-      t.incident = IncidentId{incident[r]};
-      t.server = ServerId{server[r]};
-      t.subsystem = static_cast<Subsystem>(subsystem[r]);
-      t.is_crash = is_crash[r] != 0;
-      t.true_class = static_cast<FailureClass>(true_class[r]);
-      t.opened = opened[r];
-      t.closed = closed[r];
-      t.description = std::string(description.string_at(r));
-      t.resolution = std::string(resolution.string_at(r));
-      db.add_ticket(std::move(t));
-    }
-    first_row += view.rows();
-  }
-  // The monitoring tables are the row-count bulk of a trace; decode them
-  // through typed column spans instead of the per-value generic accessors.
-  using namespace columnar::col;
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kWeeklyUsage); ++i) {
-    const ChunkView view = reader.chunk(Table::kWeeklyUsage, i);
-    const auto server = view.column(kUsageServer).i32_span();
-    const auto week = view.column(kUsageWeek).i32_span();
-    const auto cpu = view.column(kUsageCpuUtil).f64_span();
-    const auto mem = view.column(kUsageMemUtil).f64_span();
-    const columnar::ColumnView& disk = view.column(kUsageDiskUtil);
-    const columnar::ColumnView& net = view.column(kUsageNetKbps);
-    for (std::uint32_t r = 0; r < view.rows(); ++r) {
-      WeeklyUsage u;
-      u.server = ServerId{server[r]};
-      u.week = week[r];
-      u.cpu_util = cpu[r];
-      u.mem_util = mem[r];
-      if (disk.present_at(r)) u.disk_util = disk.double_at(r);
-      if (net.present_at(r)) u.net_kbps = net.double_at(r);
-      db.add_weekly_usage(u);
-    }
-  }
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kPowerEvents); ++i) {
-    const ChunkView view = reader.chunk(Table::kPowerEvents, i);
-    const auto server = view.column(kPowerServer).i32_span();
-    const auto at = view.column(kPowerAt).i64_span();
-    const auto on = view.column(kPowerOn).u8_span();
-    for (std::uint32_t r = 0; r < view.rows(); ++r) {
-      db.add_power_event({ServerId{server[r]}, at[r], on[r] != 0});
-    }
-  }
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kSnapshots); ++i) {
-    const ChunkView view = reader.chunk(Table::kSnapshots, i);
-    const auto server = view.column(kSnapServer).i32_span();
-    const auto month = view.column(kSnapMonth).i32_span();
-    const auto box = view.column(kSnapBox).i32_span();
-    const auto consolidation = view.column(kSnapConsolidation).i32_span();
-    for (std::uint32_t r = 0; r < view.rows(); ++r) {
-      db.add_monthly_snapshot(
-          {ServerId{server[r]}, month[r], BoxId{box[r]}, consolidation[r]});
-    }
-  }
+  load_table<ServerRecord>(reader, Table::kServers, db);
+  load_table<Ticket>(reader, Table::kTickets, db);
+  load_table<WeeklyUsage>(reader, Table::kWeeklyUsage, db);
+  load_table<PowerEvent>(reader, Table::kPowerEvents, db);
+  load_table<MonthlySnapshot>(reader, Table::kSnapshots, db);
   for (std::int32_t i = 0; i < reader.next_incident(); ++i) {
     db.new_incident();
   }
@@ -917,86 +1028,45 @@ TraceDatabase load_columnar_lenient(const std::string& path,
   // Server ids are row positions, so a damaged server chunk orphans every
   // later positional id: keep only the longest undamaged chunk prefix.
   std::int64_t servers_loaded = 0;
-  bool server_gap = false;
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kServers); ++i) {
-    if (server_gap) {
-      report.rows_dropped_dangling +=
-          reader.chunk_info(Table::kServers, i).rows;
-      continue;
-    }
-    const auto view = reader.try_chunk(Table::kServers, i, &report);
-    if (!view) {
-      server_gap = true;
-      continue;
-    }
-    for (std::uint32_t r = 0; r < view->rows(); ++r) {
-      db.add_server(decode_server(*view, r, servers_loaded + r));
-    }
-    servers_loaded += view->rows();
+  const std::size_t server_chunks = reader.chunk_count(Table::kServers);
+  const std::size_t gap = stage_table<ServerRecord>(
+      reader, Table::kServers, BadChunk::kStop, report,
+      [&](ServerRecord&& s) {
+        db.add_server(std::move(s));
+        ++servers_loaded;
+      });
+  for (std::size_t i = gap + 1; i < server_chunks; ++i) {
+    report.rows_dropped_dangling += reader.chunk_info(Table::kServers, i).rows;
   }
-  const auto server_ok = [&](std::int32_t sid) {
-    return sid >= 0 && sid < servers_loaded;
+  // Skipping a damaged chunk of the other tables is safe: their rows carry
+  // no positional ids that later rows depend on. Rows that reference a
+  // server outside the loaded prefix are dropped as dangling.
+  const auto dangling = [&](ServerId server) {
+    if (server.value >= 0 && server.value < servers_loaded) return false;
+    ++report.rows_dropped_dangling;
+    return true;
   };
-
-  // For the reference-free positional ids of the remaining tables, skipping
-  // a damaged chunk is safe as long as `first_row` still advances by the
-  // skipped chunk's row count (later decoded records keep their positions
-  // in derived values like next_incident).
   std::int32_t max_incident = -1;
-  std::int64_t first_row = 0;
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kTickets); ++i) {
-    const std::uint32_t chunk_rows =
-        reader.chunk_info(Table::kTickets, i).rows;
-    const auto view = reader.try_chunk(Table::kTickets, i, &report);
-    if (view) {
-      for (std::uint32_t r = 0; r < view->rows(); ++r) {
-        Ticket t = decode_ticket(*view, r, first_row);
-        if (!server_ok(t.server.value)) {
-          ++report.rows_dropped_dangling;
-          continue;
-        }
-        max_incident = std::max(max_incident, t.incident.value);
-        db.add_ticket(std::move(t));
-      }
-    }
-    first_row += chunk_rows;
-  }
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kWeeklyUsage); ++i) {
-    const auto view = reader.try_chunk(Table::kWeeklyUsage, i, &report);
-    if (!view) continue;
-    for (std::uint32_t r = 0; r < view->rows(); ++r) {
-      WeeklyUsage u = decode_weekly_usage(*view, r);
-      if (!server_ok(u.server.value)) {
-        ++report.rows_dropped_dangling;
-        continue;
-      }
-      db.add_weekly_usage(std::move(u));
-    }
-  }
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kPowerEvents); ++i) {
-    const auto view = reader.try_chunk(Table::kPowerEvents, i, &report);
-    if (!view) continue;
-    for (std::uint32_t r = 0; r < view->rows(); ++r) {
-      PowerEvent e = decode_power_event(*view, r);
-      if (!server_ok(e.server.value)) {
-        ++report.rows_dropped_dangling;
-        continue;
-      }
-      db.add_power_event(e);
-    }
-  }
-  for (std::size_t i = 0; i < reader.chunk_count(Table::kSnapshots); ++i) {
-    const auto view = reader.try_chunk(Table::kSnapshots, i, &report);
-    if (!view) continue;
-    for (std::uint32_t r = 0; r < view->rows(); ++r) {
-      MonthlySnapshot s = decode_snapshot(*view, r);
-      if (!server_ok(s.server.value)) {
-        ++report.rows_dropped_dangling;
-        continue;
-      }
-      db.add_monthly_snapshot(s);
-    }
-  }
+  stage_table<Ticket>(reader, Table::kTickets, BadChunk::kSkip, report,
+                      [&](Ticket&& t) {
+                        if (dangling(t.server)) return;
+                        max_incident =
+                            std::max(max_incident, t.incident.value);
+                        db.add_ticket(std::move(t));
+                      });
+  stage_table<WeeklyUsage>(reader, Table::kWeeklyUsage, BadChunk::kSkip,
+                           report, [&](WeeklyUsage&& u) {
+                             if (!dangling(u.server)) db.add_weekly_usage(u);
+                           });
+  stage_table<PowerEvent>(reader, Table::kPowerEvents, BadChunk::kSkip,
+                          report, [&](PowerEvent&& e) {
+                            if (!dangling(e.server)) db.add_power_event(e);
+                          });
+  stage_table<MonthlySnapshot>(
+      reader, Table::kSnapshots, BadChunk::kSkip, report,
+      [&](MonthlySnapshot&& m) {
+        if (!dangling(m.server)) db.add_monthly_snapshot(m);
+      });
   const std::int32_t next_incident =
       std::max(reader.next_incident(), max_incident + 1);
   for (std::int32_t i = 0; i < next_incident; ++i) db.new_incident();

@@ -271,8 +271,22 @@ void append_record(columnar::ChunkBuilder& builder, const WeeklyUsage& u);
 void append_record(columnar::ChunkBuilder& builder, const PowerEvent& e);
 void append_record(columnar::ChunkBuilder& builder, const MonthlySnapshot& s);
 
-// Decodes row `row` of a chunk into a record. `first_row_id` is the file-wide
-// row index of the chunk's first row (ids are implicit row positions).
+// Decodes rows [first, first + out.size()) of a chunk into `out`, checking
+// enum-like values. `first_row_id` is the file-wide row index of the chunk's
+// first row (server and ticket ids are implicit row positions; the other
+// tables ignore it). Both loaders decode whole chunks through these.
+void decode_rows(const columnar::ChunkView& view, std::uint32_t first,
+                 std::int64_t first_row_id, std::span<ServerRecord> out);
+void decode_rows(const columnar::ChunkView& view, std::uint32_t first,
+                 std::int64_t first_row_id, std::span<Ticket> out);
+void decode_rows(const columnar::ChunkView& view, std::uint32_t first,
+                 std::int64_t first_row_id, std::span<WeeklyUsage> out);
+void decode_rows(const columnar::ChunkView& view, std::uint32_t first,
+                 std::int64_t first_row_id, std::span<PowerEvent> out);
+void decode_rows(const columnar::ChunkView& view, std::uint32_t first,
+                 std::int64_t first_row_id, std::span<MonthlySnapshot> out);
+
+// One-row forms of decode_rows.
 ServerRecord decode_server(const columnar::ChunkView& view, std::uint32_t row,
                            std::int64_t first_row_id);
 Ticket decode_ticket(const columnar::ChunkView& view, std::uint32_t row,

@@ -227,7 +227,8 @@ TraceDatabase load_database(const std::string& directory) {
     ObservationWindow monitoring = db.monitoring();
     ObservationWindow onoff = db.onoff_tracking();
     while (r.read_row(row)) {
-      require(row.size() == 3, "load_database: bad row in " + path);
+      require(row.size() == 3,
+              [&] { return "load_database: bad row in " + path; });
       const ObservationWindow window{parse_int(row[1]), parse_int(row[2])};
       if (row[0] == "ticket") {
         ticket = window;
@@ -249,7 +250,8 @@ TraceDatabase load_database(const std::string& directory) {
     CsvReader r(in);
     expect_header(r, servers_header(), path);
     while (r.read_row(row)) {
-      require(row.size() == 9, "load_database: bad row in " + path);
+      require(row.size() == 9,
+              [&] { return "load_database: bad row in " + path; });
       ServerRecord s;
       s.type = machine_type_from_string(row[1]);
       s.subsystem = static_cast<Subsystem>(parse_int(row[2]));
@@ -263,7 +265,9 @@ TraceDatabase load_database(const std::string& directory) {
       s.first_record = parse_int(row[8]);
       const ServerId assigned = db.add_server(s);
       require(assigned.value == static_cast<std::int32_t>(parse_int(row[0])),
-              "load_database: non-contiguous server ids in " + path);
+              [&] {
+                return "load_database: non-contiguous server ids in " + path;
+              });
     }
   }
   {
@@ -272,7 +276,8 @@ TraceDatabase load_database(const std::string& directory) {
     CsvReader r(in);
     expect_header(r, tickets_header(), path);
     while (r.read_row(row)) {
-      require(row.size() == 10, "load_database: bad row in " + path);
+      require(row.size() == 10,
+              [&] { return "load_database: bad row in " + path; });
       Ticket t;
       if (!row[1].empty()) {
         t.incident = IncidentId{static_cast<std::int32_t>(parse_int(row[1]))};
@@ -290,7 +295,9 @@ TraceDatabase load_database(const std::string& directory) {
       t.resolution = row[9];
       const TicketId assigned = db.add_ticket(std::move(t));
       require(assigned.value == static_cast<std::int32_t>(parse_int(row[0])),
-              "load_database: non-contiguous ticket ids in " + path);
+              [&] {
+                return "load_database: non-contiguous ticket ids in " + path;
+              });
     }
   }
   {
@@ -299,7 +306,8 @@ TraceDatabase load_database(const std::string& directory) {
     CsvReader r(in);
     expect_header(r, weekly_usage_header(), path);
     while (r.read_row(row)) {
-      require(row.size() == 6, "load_database: bad row in " + path);
+      require(row.size() == 6,
+              [&] { return "load_database: bad row in " + path; });
       WeeklyUsage u;
       u.server = ServerId{static_cast<std::int32_t>(parse_int(row[0]))};
       u.week = static_cast<int>(parse_int(row[1]));
@@ -316,7 +324,8 @@ TraceDatabase load_database(const std::string& directory) {
     CsvReader r(in);
     expect_header(r, power_events_header(), path);
     while (r.read_row(row)) {
-      require(row.size() == 3, "load_database: bad row in " + path);
+      require(row.size() == 3,
+              [&] { return "load_database: bad row in " + path; });
       PowerEvent e;
       e.server = ServerId{static_cast<std::int32_t>(parse_int(row[0]))};
       e.at = parse_int(row[1]);
@@ -330,7 +339,8 @@ TraceDatabase load_database(const std::string& directory) {
     CsvReader r(in);
     expect_header(r, snapshots_header(), path);
     while (r.read_row(row)) {
-      require(row.size() == 4, "load_database: bad row in " + path);
+      require(row.size() == 4,
+              [&] { return "load_database: bad row in " + path; });
       MonthlySnapshot s;
       s.server = ServerId{static_cast<std::int32_t>(parse_int(row[0]))};
       s.month = static_cast<int>(parse_int(row[1]));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <type_traits>
 
 #include "src/util/error.h"
 
@@ -85,16 +86,41 @@ void TraceDatabase::add_monthly_snapshot(MonthlySnapshot snapshot) {
   snapshots_.push_back(snapshot);
 }
 
-void TraceDatabase::reserve(std::size_t servers, std::size_t tickets,
-                            std::size_t weekly_usage,
-                            std::size_t power_events, std::size_t snapshots) {
-  require(!finalized_, "TraceDatabase: mutation after finalize");
-  servers_.reserve(servers);
-  tickets_.reserve(tickets);
-  weekly_usage_.reserve(weekly_usage);
-  power_events_.reserve(power_events);
-  snapshots_.reserve(snapshots);
+template <typename Row>
+std::vector<Row>& TraceDatabase::rows_of() {
+  if constexpr (std::is_same_v<Row, ServerRecord>) {
+    return servers_;
+  } else if constexpr (std::is_same_v<Row, Ticket>) {
+    return tickets_;
+  } else if constexpr (std::is_same_v<Row, WeeklyUsage>) {
+    return weekly_usage_;
+  } else if constexpr (std::is_same_v<Row, PowerEvent>) {
+    return power_events_;
+  } else {
+    static_assert(std::is_same_v<Row, MonthlySnapshot>);
+    return snapshots_;
+  }
 }
+
+template <typename Row>
+std::span<Row> TraceDatabase::append_rows(std::size_t count) {
+  require(!finalized_, "TraceDatabase: mutation after finalize");
+  std::vector<Row>& rows = rows_of<Row>();
+  const std::size_t first = rows.size();
+  rows.resize(first + count);
+  if constexpr (requires(Row row) { row.id.value; }) {
+    for (std::size_t i = first; i < rows.size(); ++i) {
+      rows[i].id.value = static_cast<std::int32_t>(i);
+    }
+  }
+  return {rows.data() + first, count};
+}
+
+template std::span<ServerRecord> TraceDatabase::append_rows(std::size_t);
+template std::span<Ticket> TraceDatabase::append_rows(std::size_t);
+template std::span<WeeklyUsage> TraceDatabase::append_rows(std::size_t);
+template std::span<PowerEvent> TraceDatabase::append_rows(std::size_t);
+template std::span<MonthlySnapshot> TraceDatabase::append_rows(std::size_t);
 
 IncidentId TraceDatabase::new_incident() {
   return IncidentId{next_incident_++};
@@ -104,9 +130,10 @@ void TraceDatabase::finalize() {
   require(!finalized_, "TraceDatabase: finalize called twice");
   const auto n_servers = static_cast<std::int32_t>(servers_.size());
   const auto check_server = [&](ServerId id, const char* what) {
-    require(id.valid() && id.value < n_servers,
-            std::string("TraceDatabase::finalize: dangling server id in ") +
-                what);
+    require(id.valid() && id.value < n_servers, [&] {
+      return std::string("TraceDatabase::finalize: dangling server id in ") +
+             what;
+    });
   };
   for (const Ticket& t : tickets_) {
     if (t.is_crash) {

@@ -28,11 +28,12 @@ class TraceDatabase {
   void add_weekly_usage(WeeklyUsage usage);
   void add_power_event(PowerEvent event);
   void add_monthly_snapshot(MonthlySnapshot snapshot);
-  // Pre-sizes the table vectors for loaders that know row counts up front
-  // (the columnar footer carries them; CSV does not).
-  void reserve(std::size_t servers, std::size_t tickets,
-               std::size_t weekly_usage, std::size_t power_events,
-               std::size_t snapshots);
+  // Bulk append for loaders that decode rows in place: adds `count`
+  // default rows to the table of `Row` (one of the five record types) and
+  // returns them. Server and ticket rows come with their id set to their
+  // row index, as add_server/add_ticket would assign it.
+  template <typename Row>
+  std::span<Row> append_rows(std::size_t count);
   // Allocates a fresh incident id (tickets sharing one incident share it).
   IncidentId new_incident();
 
@@ -93,6 +94,8 @@ class TraceDatabase {
 
  private:
   void require_finalized() const;
+  template <typename Row>
+  std::vector<Row>& rows_of();
 
   ObservationWindow window_;
   ObservationWindow monitoring_;

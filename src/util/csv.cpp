@@ -116,8 +116,9 @@ std::int64_t parse_int(const std::string& field) {
   errno = 0;
   const long long v = std::strtoll(field.c_str(), &end, 10);
   require(end != field.c_str() && *end == '\0',
-          "parse_int: invalid integer '" + field + "'");
-  require(errno != ERANGE, "parse_int: out-of-range integer '" + field + "'");
+          [&] { return "parse_int: invalid integer '" + field + "'"; });
+  require(errno != ERANGE,
+          [&] { return "parse_int: out-of-range integer '" + field + "'"; });
   return v;
 }
 
@@ -125,14 +126,15 @@ double parse_double(const std::string& field) {
   char* end = nullptr;
   const double v = std::strtod(field.c_str(), &end);
   require(end != field.c_str() && *end == '\0',
-          "parse_double: invalid number '" + field + "'");
+          [&] { return "parse_double: invalid number '" + field + "'"; });
   return v;
 }
 
 double parse_finite_double(const std::string& field) {
   const double v = parse_double(field);
-  require(std::isfinite(v),
-          "parse_finite_double: non-finite number '" + field + "'");
+  require(std::isfinite(v), [&] {
+    return "parse_finite_double: non-finite number '" + field + "'";
+  });
   return v;
 }
 

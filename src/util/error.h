@@ -3,6 +3,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 namespace fa {
 
@@ -24,6 +25,16 @@ inline void require(bool cond, const std::string& message) {
 // actually fires, which keeps require() free on hot per-value paths.
 inline void require(bool cond, const char* message) {
   if (!cond) throw Error(message);
+}
+
+// Formatted-message overload: `make_message()` returns the message and runs
+// only when the check fires, so a per-row check with a message that names
+// the bad value costs no more than the literal overload.
+//   require(ok, [&] { return "bad row in " + path; });
+template <typename MakeMessage>
+  requires std::is_invocable_r_v<std::string, MakeMessage&>
+inline void require(bool cond, MakeMessage&& make_message) {
+  if (!cond) throw Error(make_message());
 }
 
 }  // namespace fa

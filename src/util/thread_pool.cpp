@@ -1,5 +1,6 @@
 #include "src/util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -37,15 +38,30 @@ std::uint64_t us_between(std::chrono::steady_clock::time_point a,
       std::chrono::duration_cast<std::chrono::microseconds>(b - a).count());
 }
 
+// The metrics of the pool worker running on this thread; null on threads
+// outside any pool, which report as worker 0.
+thread_local WorkerMetrics* t_worker_metrics = nullptr;
+// How many run_slice() calls are active on this thread. A nested slice runs
+// inside an item whose time the outer slice already counts as busy.
+thread_local int t_slice_depth = 0;
+
+WorkerMetrics& this_thread_metrics() {
+  static WorkerMetrics caller_metrics(0);
+  return t_worker_metrics != nullptr ? *t_worker_metrics : caller_metrics;
+}
+
 }  // namespace
 
-// One parallel_for invocation: an atomic work counter the caller and every
-// worker drain together, plus completion bookkeeping. Held by shared_ptr so
-// a straggler worker that wakes late can still probe the (already drained)
-// counter safely.
+// One parallel_for invocation: an atomic work counter the caller and any
+// idle workers drain together, plus completion bookkeeping. Held by
+// shared_ptr so a worker that picked the batch just as it ran dry can still
+// probe the (drained) counter safely.
 struct ThreadPool::Batch {
-  std::size_t n = 0;
-  const std::function<void(std::size_t)>* fn = nullptr;
+  Batch(std::size_t count, const std::function<void(std::size_t)>& body)
+      : n(count), fn(&body) {}
+
+  const std::size_t n;
+  const std::function<void(std::size_t)>* const fn;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   std::mutex done_mutex;
@@ -53,9 +69,16 @@ struct ThreadPool::Batch {
   std::exception_ptr error;
   std::mutex error_mutex;
 
-  // Returns the number of items this thread executed, so callers can
-  // attribute work to individual workers.
-  std::size_t run_slice() {
+  bool claimable() const {
+    return next.load(std::memory_order_relaxed) < n;
+  }
+
+  // Claims and runs items until none are left, crediting the items (and,
+  // at the outermost level, the busy time) to this thread's worker.
+  void run_slice() {
+    WorkerMetrics& metrics = this_thread_metrics();
+    const bool outermost = t_slice_depth++ == 0;
+    const auto start = std::chrono::steady_clock::now();
     std::size_t executed = 0;
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
@@ -72,7 +95,11 @@ struct ThreadPool::Batch {
         all_done.notify_all();
       }
     }
-    return executed;
+    --t_slice_depth;
+    if (outermost) {
+      metrics.busy_us.add(us_between(start, std::chrono::steady_clock::now()));
+    }
+    metrics.items.add(executed);
   }
 };
 
@@ -98,28 +125,31 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : threads_) t.join();
 }
 
+std::shared_ptr<ThreadPool::Batch> ThreadPool::claimable_batch() const {
+  for (auto it = open_.rbegin(); it != open_.rend(); ++it) {
+    if ((*it)->claimable()) return *it;
+  }
+  return nullptr;
+}
+
 void ThreadPool::worker_loop(std::size_t worker) {
   WorkerMetrics metrics(worker);
-  std::shared_ptr<Batch> previous;
+  t_worker_metrics = &metrics;
   for (;;) {
     std::shared_ptr<Batch> batch;
     const auto wait_start = std::chrono::steady_clock::now();
     {
       std::unique_lock<std::mutex> lock(mutex_);
       work_available_.wait(lock, [&] {
-        return shutting_down_ || (batch_ && batch_ != previous);
+        if (shutting_down_) return true;
+        batch = claimable_batch();
+        return batch != nullptr;
       });
       if (shutting_down_) return;
-      batch = batch_;
     }
-    const auto run_start = std::chrono::steady_clock::now();
-    metrics.idle_us.add(us_between(wait_start, run_start));
-    const std::size_t executed = batch->run_slice();
-    metrics.busy_us.add(us_between(run_start, std::chrono::steady_clock::now()));
-    metrics.items.add(executed);
-    // Remember the batch we just drained so the next wait doesn't re-enter
-    // it if the caller has not retired it yet.
-    previous = std::move(batch);
+    metrics.idle_us.add(
+        us_between(wait_start, std::chrono::steady_clock::now()));
+    batch->run_slice();
   }
 }
 
@@ -136,42 +166,27 @@ void ThreadPool::parallel_for(std::size_t n,
   batches.add(1);
   items.add(n);
   batch_items.record(static_cast<double>(n));
+  auto batch = std::make_shared<Batch>(n, fn);
   if (threads_.empty() || n == 1) {
-    static WorkerMetrics caller_metrics(0);
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    caller_metrics.busy_us.add(
-        us_between(start, std::chrono::steady_clock::now()));
-    caller_metrics.items.add(n);
-    return;
-  }
-  auto batch = std::make_shared<Batch>();
-  batch->n = n;
-  batch->fn = &fn;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    batch_ = batch;
-  }
-  work_available_.notify_all();
-  {
-    static WorkerMetrics caller_metrics(0);
-    const auto start = std::chrono::steady_clock::now();
-    const std::size_t executed = batch->run_slice();
-    caller_metrics.busy_us.add(
-        us_between(start, std::chrono::steady_clock::now()));
-    caller_metrics.items.add(executed);
-  }
-  {
+    batch->run_slice();  // inline: nothing to share
+  } else {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_.push_back(batch);
+    }
+    work_available_.notify_all();
+    batch->run_slice();
+    // Every item is claimed now; retire the batch so idle workers stop
+    // finding it, then wait for the items other threads still hold.
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_.erase(std::find(open_.begin(), open_.end(), batch));
+    }
     std::unique_lock<std::mutex> lock(batch->done_mutex);
     batch->all_done.wait(lock, [&batch] {
       return batch->done.load(std::memory_order_acquire) >= batch->n;
     });
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    batch_.reset();
-  }
-  work_available_.notify_all();
   if (batch->error) std::rethrow_exception(batch->error);
 }
 

@@ -32,6 +32,14 @@ class ThreadPool {
   // Runs fn(i) for i in [0, n). Blocks until all iterations complete; any
   // exception thrown by an iteration is rethrown on the calling thread
   // (first one wins). With no workers (thread_count 1) runs inline.
+  //
+  // Calls nest: fn may itself call parallel_for on the same pool. Every
+  // call opens a batch that its caller drains alongside any idle workers.
+  // An idle worker joins the newest open batch that still has unclaimed
+  // items, so an inner loop gets help first; once that runs dry it falls
+  // back to older (outer) batches. A caller never waits on anything but
+  // the items of its own batch that other threads already hold, so nested
+  // calls cannot deadlock.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& fn);
 
@@ -51,14 +59,19 @@ class ThreadPool {
  private:
   struct Batch;
 
-  // `worker` is the 1-based dedicated-worker index (the calling thread of a
-  // parallel_for acts as worker 0); used to label per-worker metrics.
+  // `worker` is the 1-based dedicated-worker index (a calling thread from
+  // outside the pool acts as worker 0); used to label per-worker metrics.
   void worker_loop(std::size_t worker);
+
+  // The newest open batch with unclaimed items, or null. Needs mutex_.
+  std::shared_ptr<Batch> claimable_batch() const;
 
   std::vector<std::thread> threads_;
   std::mutex mutex_;
   std::condition_variable work_available_;
-  std::shared_ptr<Batch> batch_;  // current parallel_for, null when idle
+  // Open batches, oldest first. A call appends its batch and removes it
+  // once every item is claimed; nested calls stack up here.
+  std::vector<std::shared_ptr<Batch>> open_;
   bool shutting_down_ = false;
 };
 

@@ -104,6 +104,15 @@ TEST(Csv, ParseIntInvalidThrows) {
   EXPECT_THROW(parse_int("abc"), Error);
 }
 
+TEST(Csv, ParseIntInvalidMessageQuotesTheField) {
+  try {
+    parse_int("12x");
+    FAIL() << "parse_int accepted '12x'";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "parse_int: invalid integer '12x'");
+  }
+}
+
 TEST(Csv, ParseDoubleValid) {
   EXPECT_DOUBLE_EQ(parse_double("3.25"), 3.25);
   EXPECT_DOUBLE_EQ(parse_double("-1e3"), -1000.0);

@@ -55,6 +55,39 @@ TEST(Database, FinalizeRejectsNegativeRepair) {
   EXPECT_THROW(b.raw().finalize(), Error);
 }
 
+TEST(Database, DanglingUsageServerMessageNamesTheTable) {
+  fa::testing::TinyDbBuilder b;
+  b.add_pm(0);
+  WeeklyUsage u;
+  u.server = ServerId{7};  // no such server
+  b.raw().add_weekly_usage(u);
+  try {
+    b.raw().finalize();
+    FAIL() << "finalize accepted a dangling usage row";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "TraceDatabase::finalize: dangling server id in usage");
+  }
+}
+
+TEST(Database, AppendRowsAssignsRowIndexIds) {
+  TraceDatabase db;
+  db.add_server(ServerRecord{});
+  const auto servers = db.append_rows<ServerRecord>(2);
+  ASSERT_EQ(servers.size(), 2u);
+  EXPECT_EQ(servers[0].id, ServerId{1});
+  EXPECT_EQ(servers[1].id, ServerId{2});
+  const auto tickets = db.append_rows<Ticket>(3);
+  EXPECT_EQ(tickets[2].id, TicketId{2});
+  const auto usage = db.append_rows<WeeklyUsage>(4);
+  ASSERT_EQ(usage.size(), 4u);
+  for (WeeklyUsage& u : usage) u.server = ServerId{0};
+  db.finalize();
+  EXPECT_EQ(db.servers().size(), 3u);
+  EXPECT_EQ(db.tickets().size(), 3u);
+  EXPECT_THROW(db.append_rows<PowerEvent>(1), Error);
+}
+
 TEST(Database, CrashTicketFiltersAndIndex) {
   fa::testing::TinyDbBuilder b;
   const ServerId pm = b.add_pm(0);

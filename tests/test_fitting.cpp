@@ -138,6 +138,16 @@ TEST(Fitting, RejectsInvalidSamples) {
   EXPECT_THROW(fit_exponential(single), Error);
 }
 
+TEST(Fitting, NonPositiveSampleMessageNamesTheFit) {
+  const std::vector<double> negative = {1.0, -2.0};
+  try {
+    fit_weibull(negative);
+    FAIL() << "fit_weibull accepted a negative sample";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "fit_weibull: samples must be positive");
+  }
+}
+
 TEST(Fitting, DegenerateSampleStillFitsExponential) {
   const std::vector<double> constant(100, 5.0);
   const auto results = fit_candidates(constant);

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/stats/sparse_matrix.h"
 #include "src/util/error.h"
+#include "src/util/thread_pool.h"
 
 namespace fa::stats {
 namespace {
@@ -134,6 +136,45 @@ TEST(KMeans, RestartsPickLowestInertia) {
   const double single = kmeans(points, one, r1).inertia;
   const double best = kmeans(points, many, r2).inertia;
   EXPECT_LE(best, single + 1e-9);
+}
+
+// Sparse restarts run in parallel, each with its chunked assignment step
+// nested inside: more rows than one assignment chunk, more restarts than
+// threads. Everything must be bit-identical at any thread count.
+TEST(SparseKMeans, ParallelRestartsAreThreadCountInvariant) {
+  Rng data_rng(41);
+  SparseMatrix points(16);
+  for (int i = 0; i < 5000; ++i) {
+    const auto c = static_cast<std::uint32_t>(i % 5);
+    const std::vector<std::uint32_t> idx = {3 * c, 3 * c + 1,
+                                            15u - c % 2};
+    const std::vector<double> val = {4.0 + data_rng.normal(0.0, 1.0),
+                                     4.0 + data_rng.normal(0.0, 1.0),
+                                     data_rng.uniform()};
+    points.append_row(idx, val);
+  }
+  KMeansOptions options;
+  options.k = 7;
+  options.restarts = 6;
+  const auto run_at = [&](std::size_t threads) {
+    ThreadPool::set_default_thread_count(threads);
+    Rng rng(5);
+    return kmeans(points, options, rng);
+  };
+  const KMeansResult reference = run_at(1);
+  for (const std::size_t threads : {2u, 8u}) {
+    const KMeansResult run = run_at(threads);
+    EXPECT_EQ(run.assignment, reference.assignment) << threads << " threads";
+    EXPECT_EQ(run.inertia, reference.inertia) << threads << " threads";
+    EXPECT_EQ(run.centroids, reference.centroids) << threads << " threads";
+    EXPECT_EQ(run.iterations, reference.iterations);
+    EXPECT_EQ(run.stats.iterations_per_restart,
+              reference.stats.iterations_per_restart);
+    EXPECT_EQ(run.stats.distances_computed,
+              reference.stats.distances_computed);
+    EXPECT_EQ(run.stats.distances_pruned, reference.stats.distances_pruned);
+  }
+  ThreadPool::set_default_thread_count(0);
 }
 
 }  // namespace

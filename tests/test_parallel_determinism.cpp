@@ -127,23 +127,5 @@ TEST_F(ParallelDeterminism, BootstrapIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelFor, PropagatesExceptions) {
-  ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(100,
-                                 [](std::size_t i) {
-                                   if (i == 37) throw std::runtime_error("x");
-                                 }),
-               std::runtime_error);
-}
-
-TEST(ParallelFor, CoversEveryIndexOnce) {
-  ThreadPool pool(8);
-  std::vector<int> hits(10000, 0);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    ASSERT_EQ(hits[i], 1) << "index " << i;
-  }
-}
-
 }  // namespace
 }  // namespace fa
