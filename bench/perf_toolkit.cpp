@@ -43,6 +43,7 @@
 #include "src/sim/simulator.h"
 #include "src/trace/columnar_io.h"
 #include "src/trace/csv_io.h"
+#include "src/trace/fingerprint.h"
 #include "src/trace/trace_writer.h"
 #include "src/stats/ecdf.h"
 #include "src/stats/fitting.h"
@@ -62,8 +63,10 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
-// A cheap structural checksum of a trace: enough to certify that two runs
-// produced the same event sequence.
+// A cheap structural checksum of the ticket table (server, opened, closed,
+// is_crash). The CSV round trip keeps these exact but rounds usage to 4
+// decimals, so roundtrip_identical uses this rather than the full
+// trace::fingerprint, which that lossy round trip would fail.
 std::uint64_t trace_checksum(const trace::TraceDatabase& db) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto mix = [&h](std::uint64_t v) {
@@ -199,7 +202,7 @@ int run_stage_report(double scale, const std::string& json_path) {
   const auto parallel_db = sim::simulate(config);
   const double simulate_parallel = ms_since(t0);
   const bool identical =
-      trace_checksum(serial_db) == trace_checksum(parallel_db);
+      trace::fingerprint(serial_db) == trace::fingerprint(parallel_db);
   stages.push_back({"simulate", simulate_serial, simulate_parallel});
 
   // classify (the analysis pipeline: extraction + k-means restarts).

@@ -13,7 +13,7 @@ namespace fa::sim {
 // calibration, failure generation, ticketing (crash + background), and
 // monitoring-DB content, then calls writer.finish(). Deterministic for a
 // given config (including its seed) at any thread count; peak memory is
-// bounded by the fleet plus one render block, not by the emitted tables,
+// bounded by the fleet plus two render blocks, not by the emitted tables,
 // so large fleets can stream straight to disk via ColumnarTraceWriter.
 void simulate_to(const SimulationConfig& config, trace::TraceWriter& writer);
 

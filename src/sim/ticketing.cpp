@@ -7,18 +7,16 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "src/sim/block_pipeline.h"
 #include "src/sim/seed_streams.h"
 #include "src/stats/lognormal.h"
 #include "src/text/ticket_text.h"
 #include "src/util/error.h"
-#include "src/util/thread_pool.h"
 
 namespace fa::sim {
 namespace {
 
-// Parallel render blocks are committed serially after each block, so peak
-// memory is one block of rendered tickets even when the writer streams to
-// disk. Stream ids stay global indexes: block size cannot affect output.
+// Tickets per render block; render_and_commit holds two blocks at a time.
 constexpr std::size_t kRenderBlock = 8192;
 
 stats::LogNormal repair_distribution(const RepairSpec& spec) {
@@ -57,60 +55,57 @@ std::array<int, trace::kSubsystemCount> emit_crash_tickets(
     repair.push_back(repair_distribution(spec));
   }
 
-  // Parallel rendering in blocks: each failure event renders its ticket (or
-  // its monitoring loss) from a private stream into its own slot, then the
-  // block commits serially — ticket ids follow event order, as before.
+  // Each failure event renders its ticket (or its monitoring loss) from a
+  // private stream into its own slot; blocks commit in event order, so
+  // ticket ids follow event order.
   std::array<int, trace::kSubsystemCount> crash_count{};
-  std::vector<std::optional<trace::Ticket>> rendered(
-      std::min(kRenderBlock, events.size()));
   std::vector<trace::Ticket> batch;
-  batch.reserve(rendered.size());
-  for (std::size_t block = 0; block < events.size(); block += kRenderBlock) {
-    const std::size_t n = std::min(kRenderBlock, events.size() - block);
-    parallel_for(n, [&](std::size_t j) {
-      const std::size_t i = block + j;
-      const FailureEvent& e = events[i];
-      rendered[j].reset();
-      Rng rng = stream_rng(config.seed, SeedStream::kCrashTicket, i);
-      if (loss_eligible[i] &&
-          rng.bernoulli(config.monitoring_loss_probability)) {
-        return;  // the monitoring server itself was down; ticket never filed
-      }
+  render_and_commit<std::optional<trace::Ticket>>(
+      events.size(), kRenderBlock,
+      [&](std::optional<trace::Ticket>& slot, std::size_t i) {
+        const FailureEvent& e = events[i];
+        slot.reset();
+        Rng rng = stream_rng(config.seed, SeedStream::kCrashTicket, i);
+        if (loss_eligible[i] &&
+            rng.bernoulli(config.monitoring_loss_probability)) {
+          return;  // the monitoring server itself was down; never filed
+        }
 
-      trace::Ticket t;
-      t.incident = e.incident;
-      t.server = e.server;
-      t.subsystem = fleet.server(e.server).subsystem;
-      t.is_crash = true;
-      t.true_class = e.recorded_class;
-      t.opened = e.at;
-      // Repair effort follows the true cause; a vaguely-written ticket still
-      // took however long its real problem took to fix. The down time also
-      // includes the (short) queueing interval before the repair starts.
-      const double queue_hours =
-          config.queueing.median_hours *
-          std::exp(config.queueing.sigma * rng.normal());
-      const double repair_hours =
-          repair[static_cast<std::size_t>(e.cause_class)].sample(rng);
-      t.closed = e.at +
-                 std::max<Duration>(1, from_hours(queue_hours + repair_hours));
-      auto text =
-          text::generate_crash_text(e.recorded_class, config.text_style, rng);
-      t.description = std::move(text.description);
-      t.resolution = std::move(text.resolution);
-      rendered[j] = std::move(t);
-    });
-    // Compact the block (monitoring losses leave holes) and commit it as one
-    // batch, letting the sink encode columns in parallel. Ticket ids still
-    // follow event order: batches are committed serially, holes skipped.
-    batch.clear();
-    for (std::size_t j = 0; j < n; ++j) {
-      if (!rendered[j]) continue;
-      ++crash_count[rendered[j]->subsystem];
-      batch.push_back(std::move(*rendered[j]));
-    }
-    writer.add_tickets(batch);
-  }
+        trace::Ticket t;
+        t.incident = e.incident;
+        t.server = e.server;
+        t.subsystem = fleet.server(e.server).subsystem;
+        t.is_crash = true;
+        t.true_class = e.recorded_class;
+        t.opened = e.at;
+        // Repair effort follows the true cause; a vaguely-written ticket
+        // still took however long its real problem took to fix. The down
+        // time also includes the (short) queueing interval before the
+        // repair starts.
+        const double queue_hours =
+            config.queueing.median_hours *
+            std::exp(config.queueing.sigma * rng.normal());
+        const double repair_hours =
+            repair[static_cast<std::size_t>(e.cause_class)].sample(rng);
+        t.closed = e.at + std::max<Duration>(
+                              1, from_hours(queue_hours + repair_hours));
+        auto text = text::generate_crash_text(e.recorded_class,
+                                              config.text_style, rng);
+        t.description = std::move(text.description);
+        t.resolution = std::move(text.resolution);
+        slot = std::move(t);
+      },
+      [&](std::span<std::optional<trace::Ticket>> block) {
+        // Compact the block (monitoring losses leave holes) and commit it
+        // as one batch, letting the sink encode columns in parallel.
+        batch.clear();
+        for (std::optional<trace::Ticket>& slot : block) {
+          if (!slot) continue;
+          ++crash_count[slot->subsystem];
+          batch.push_back(std::move(*slot));
+        }
+        writer.add_tickets(batch);
+      });
   return crash_count;
 }
 
@@ -141,32 +136,28 @@ void emit_background_tickets(
   const auto background_repair =
       stats::LogNormal::from_mean_median(48.0, 8.0);
 
-  std::vector<trace::Ticket> rendered(std::min(kRenderBlock, slots.size()));
-  for (std::size_t block = 0; block < slots.size(); block += kRenderBlock) {
-    const std::size_t n = std::min(kRenderBlock, slots.size() - block);
-    parallel_for(n, [&](std::size_t j) {
-      const std::size_t i = block + j;
-      const trace::Subsystem sys = slots[i].sys;
-      Rng rng = stream_rng(config.seed, SeedStream::kBackgroundTicket, i);
-      trace::Ticket t;
-      t.server = by_system[sys][static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(by_system[sys].size()) - 1))];
-      t.subsystem = sys;
-      t.is_crash = false;
-      t.true_class = trace::FailureClass::kOther;
-      t.opened =
-          year.begin + static_cast<Duration>(rng.uniform(
-                           0.0, static_cast<double>(year.length() - 1)));
-      t.closed =
-          t.opened + std::max<Duration>(
-                         1, from_hours(background_repair.sample(rng)));
-      auto text = text::generate_background_text(rng);
-      t.description = std::move(text.description);
-      t.resolution = std::move(text.resolution);
-      rendered[j] = std::move(t);
-    });
-    writer.add_tickets(std::span(rendered.data(), n));
-  }
+  render_and_commit<trace::Ticket>(
+      slots.size(), kRenderBlock,
+      [&](trace::Ticket& t, std::size_t i) {
+        const trace::Subsystem sys = slots[i].sys;
+        Rng rng = stream_rng(config.seed, SeedStream::kBackgroundTicket, i);
+        t = trace::Ticket{};
+        t.server = by_system[sys][static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(by_system[sys].size()) - 1))];
+        t.subsystem = sys;
+        t.is_crash = false;
+        t.true_class = trace::FailureClass::kOther;
+        t.opened =
+            year.begin + static_cast<Duration>(rng.uniform(
+                             0.0, static_cast<double>(year.length() - 1)));
+        t.closed =
+            t.opened + std::max<Duration>(
+                           1, from_hours(background_repair.sample(rng)));
+        auto text = text::generate_background_text(rng);
+        t.description = std::move(text.description);
+        t.resolution = std::move(text.resolution);
+      },
+      [&](std::span<trace::Ticket> block) { writer.add_tickets(block); });
 }
 
 }  // namespace fa::sim

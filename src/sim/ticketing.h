@@ -19,8 +19,9 @@ namespace fa::sim {
 // can lose tickets when the monitoring server itself is affected
 // (Section IV-E); the incident's first event is never lost. Ticket rendering
 // fans out over the thread pool with one stream per event; ids and row order
-// stay in event order, committed block-wise so memory stays bounded when
-// the writer streams to disk. Returns the number of crash tickets emitted
+// stay in event order, committed block-wise while the next block renders
+// (block_pipeline.h), so memory stays bounded when the writer streams to
+// disk. Returns the number of crash tickets emitted
 // per subsystem (input to the background-ticket budget).
 std::array<int, trace::kSubsystemCount> emit_crash_tickets(
     const SimulationConfig& config, const Fleet& fleet,

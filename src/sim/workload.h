@@ -14,8 +14,9 @@ namespace fa::sim {
 // Weekly usage rows over the ticket year, jittered around each machine's
 // static mean profile. Disk/network columns are filled for VMs only,
 // mirroring the gaps in the paper's dataset. One RNG stream per server,
-// generated in parallel blocks and committed serially; row order stays
-// (server, week) and memory stays one block of rows.
+// rendered in parallel blocks, each committed on the calling thread while
+// the next renders (block_pipeline.h); row order stays (server, week) and
+// memory stays two blocks of rows.
 void emit_weekly_usage(const SimulationConfig& config, const Fleet& fleet,
                        trace::TraceWriter& writer);
 

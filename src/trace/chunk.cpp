@@ -1,5 +1,8 @@
 #include "src/trace/chunk.h"
 
+#include <algorithm>
+#include <functional>
+
 #include "src/util/error.h"
 #include "src/util/strings.h"
 
@@ -7,6 +10,9 @@ namespace fa::trace::columnar {
 namespace {
 
 constexpr std::size_t kBlockAlign = 8;
+// Initial dictionary index size (a power of two); it doubles whenever it
+// would become more than half full.
+constexpr std::size_t kInitialIndexSize = 1024;
 
 std::size_t padded(std::size_t size, std::size_t align = kBlockAlign) {
   return (size + align - 1) / align * align;
@@ -178,14 +184,43 @@ ChunkBuilder::Column& ChunkBuilder::batch_column(std::size_t index) {
   return c;
 }
 
-std::uint32_t ChunkBuilder::dict_slot(Column& c, std::string_view v) {
-  if (const auto it = c.dict_lookup.find(v); it != c.dict_lookup.end()) {
-    return it->second;
+std::uint32_t ChunkBuilder::Dictionary::slot(std::string_view v) {
+  if (index_.empty()) index_.assign(kInitialIndexSize, {0, kEmptySlot});
+  const std::uint64_t h64 = std::hash<std::string_view>{}(v);
+  const auto hash = static_cast<std::uint32_t>(h64 ^ (h64 >> 32));
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = hash & mask;
+  for (; index_[i].slot != kEmptySlot; i = (i + 1) & mask) {
+    if (index_[i].hash == hash && at(index_[i].slot) == v) {
+      return index_[i].slot;
+    }
   }
-  const auto slot = static_cast<std::uint32_t>(c.dict.size());
-  c.dict.emplace_back(v);
-  c.dict_lookup.emplace(c.dict.back(), slot);
+  require(v.size() <= UINT32_MAX - bytes_.size(),
+          "columnar: dictionary blob exceeds 4 GiB");
+  const std::uint32_t slot = size();
+  bytes_.append(v);
+  offsets_.push_back(static_cast<std::uint32_t>(bytes_.size()));
+  index_[i] = {hash, slot};
+  if (std::size_t{size()} * 2 > index_.size()) grow();
   return slot;
+}
+
+void ChunkBuilder::Dictionary::grow() {
+  std::vector<Entry> grown(index_.size() * 2, {0, kEmptySlot});
+  const std::size_t mask = grown.size() - 1;
+  for (const Entry& e : index_) {
+    if (e.slot == kEmptySlot) continue;
+    std::size_t i = e.hash & mask;
+    while (grown[i].slot != kEmptySlot) i = (i + 1) & mask;
+    grown[i] = e;
+  }
+  index_ = std::move(grown);
+}
+
+void ChunkBuilder::Dictionary::clear() {
+  bytes_.clear();
+  offsets_.assign(1, 0);
+  std::fill(index_.begin(), index_.end(), Entry{0, kEmptySlot});
 }
 
 void ChunkBuilder::add_int(std::size_t column, std::int64_t v) {
@@ -224,7 +259,7 @@ void ChunkBuilder::add_opt_int(std::size_t column,
 
 void ChunkBuilder::add_string(std::size_t column, std::string_view v) {
   Column& c = column_for(column, Encoding::kStringDict);
-  c.indices.push_back(dict_slot(c, v));
+  c.indices.push_back(c.dict.slot(v));
 }
 
 void ChunkBuilder::next_row() {
@@ -313,24 +348,13 @@ ChunkInfo ChunkBuilder::encode(std::vector<std::byte>& out) {
         break;
       }
       case Encoding::kStringDict: {
-        const auto dict_count = static_cast<std::uint32_t>(c.dict.size());
+        const std::uint32_t dict_count = c.dict.size();
         block.extra = dict_count;
         append_bytes(out, &dict_count, sizeof(dict_count));
-        std::vector<std::uint32_t> offsets;
-        offsets.reserve(c.dict.size() + 1);
-        std::uint32_t pos = 0;
-        offsets.push_back(0);
-        for (const std::string& s : c.dict) {
-          require(s.size() <= UINT32_MAX - pos,
-                  "columnar: dictionary blob exceeds 4 GiB");
-          pos += static_cast<std::uint32_t>(s.size());
-          offsets.push_back(pos);
-        }
-        append_bytes(out, offsets.data(),
-                     offsets.size() * sizeof(std::uint32_t));
-        for (const std::string& s : c.dict) {
-          append_bytes(out, s.data(), s.size());
-        }
+        const std::span<const std::uint32_t> offsets = c.dict.offsets();
+        append_bytes(out, offsets.data(), offsets.size_bytes());
+        const std::string_view blob = c.dict.bytes();
+        append_bytes(out, blob.data(), blob.size());
         pad_to(out, 4);
         append_bytes(out, c.indices.data(),
                      c.indices.size() * sizeof(std::uint32_t));
@@ -349,7 +373,6 @@ ChunkInfo ChunkBuilder::encode(std::vector<std::byte>& out) {
     c.present.clear();
     c.indices.clear();
     c.dict.clear();
-    c.dict_lookup.clear();
     c.size = 0;
   }
 

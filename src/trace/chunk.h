@@ -26,7 +26,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/trace/types.h"
@@ -169,7 +168,7 @@ class ChunkBuilder {
             "columnar: fill_strings on a non-dictionary column");
     c.indices.reserve(c.indices.size() + n);
     for (std::size_t i = 0; i < n; ++i) {
-      c.indices.push_back(dict_slot(c, get(i)));
+      c.indices.push_back(c.dict.slot(get(i)));
     }
     c.size += n;
   }
@@ -183,13 +182,39 @@ class ChunkBuilder {
   ChunkInfo encode(std::vector<std::byte>& out);
 
  private:
-  // Heterogeneous hashing so dictionary probes take a string_view and only
-  // materialize a std::string for strings entering the dictionary.
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view v) const noexcept {
-      return std::hash<std::string_view>{}(v);
+  // A kStringDict column's dictionary, held in its encoded layout: the
+  // distinct strings' bytes back to back in slot order plus their u32
+  // offsets, indexed by an open-addressing (linear probing) table of slot
+  // ids that keeps each entry's hash, so growing never rehashes a string.
+  class Dictionary {
+   public:
+    // The slot of `v`, appending it as a new slot on first sight. Throws
+    // when the blob would outgrow its u32 offsets.
+    std::uint32_t slot(std::string_view v);
+    std::uint32_t size() const {
+      return static_cast<std::uint32_t>(offsets_.size() - 1);
     }
+    // size() + 1 entries: slot s spans [offsets()[s], offsets()[s + 1]).
+    std::span<const std::uint32_t> offsets() const { return offsets_; }
+    std::string_view bytes() const { return bytes_; }
+    void clear();
+
+   private:
+    struct Entry {
+      std::uint32_t hash;
+      std::uint32_t slot;  // kEmptySlot: unused
+    };
+    static constexpr std::uint32_t kEmptySlot = UINT32_MAX;
+
+    std::string_view at(std::uint32_t slot) const {
+      return std::string_view(bytes_).substr(
+          offsets_[slot], offsets_[slot + 1] - offsets_[slot]);
+    }
+    void grow();
+
+    std::string bytes_;
+    std::vector<std::uint32_t> offsets_{0};
+    std::vector<Entry> index_;  // power-of-two size, at most half full
   };
 
   struct Column {
@@ -198,15 +223,12 @@ class ChunkBuilder {
     std::vector<double> doubles;         // kFloat64 / kOptFloat64
     std::vector<std::uint8_t> present;   // optional columns, 1 per row
     std::vector<std::uint32_t> indices;  // kStringDict row -> dict slot
-    std::vector<std::string> dict;       // kStringDict slot -> string
-    std::unordered_map<std::string, std::uint32_t, StringHash, std::equal_to<>>
-        dict_lookup;
+    Dictionary dict;                     // kStringDict slot -> string
     std::size_t size = 0;                // rows appended so far
   };
 
   Column& column_for(std::size_t index, Encoding expected);
   Column& batch_column(std::size_t index);
-  static std::uint32_t dict_slot(Column& c, std::string_view v);
   [[noreturn]] void fail_encoding(std::size_t index, Encoding expected) const;
   [[noreturn]] void fail_row_incomplete() const;
 

@@ -259,9 +259,14 @@ void ColumnarWriter::add_tickets(std::span<const Ticket> tickets) {
     const std::span<const Ticket> batch = tickets.subspan(done, n);
     // One task per ticket column. Each fills only its own column's state, so
     // scheduling order cannot affect the encoded bytes; dictionary slots
-    // still follow row order within each text column.
-    parallel_for(9, [&](std::size_t ci) {
-      switch (ci) {
+    // still follow row order within each text column. The two text columns
+    // cost the most, so they are handed out first.
+    static constexpr std::array<std::size_t, 9> kFillOrder = {
+        kTicketDescription, kTicketResolution, kTicketIncident,
+        kTicketServer,      kTicketSubsystem,  kTicketIsCrash,
+        kTicketTrueClass,   kTicketOpened,     kTicketClosed};
+    parallel_for(kFillOrder.size(), [&](std::size_t task) {
+      switch (kFillOrder[task]) {
         case kTicketIncident:
           b.fill_ints(kTicketIncident, n,
                       [&](std::size_t i) { return batch[i].incident.value; });

@@ -130,8 +130,8 @@ struct WriterOptions {
 // writes the footer. Record ids are implicit (row position), so callers
 // must append servers/tickets in id order — the simulator and the CSV
 // bridge both do. Not thread-safe; the streaming simulator commits from
-// its serial sections only, which also keeps files bit-identical at any
-// --threads setting.
+// its calling thread only, block by block, which also keeps files
+// bit-identical at any --threads setting.
 class ColumnarWriter {
  public:
   explicit ColumnarWriter(const std::string& path,

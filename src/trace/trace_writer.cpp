@@ -11,21 +11,28 @@ ServerId TraceWriter::add_server(ServerRecord record) {
   return id;
 }
 
-TicketId TraceWriter::add_ticket(Ticket ticket) {
-  const TicketId id{next_ticket_++};
-  ticket.id = id;
+namespace {
+
+void check_subsystem(const Ticket& ticket) {
   require(ticket.subsystem < kSubsystemCount,
           "TraceWriter: ticket with invalid subsystem");
+}
+
+}  // namespace
+
+TicketId TraceWriter::add_ticket(Ticket ticket) {
+  check_subsystem(ticket);
+  const TicketId id{next_ticket_++};
+  ticket.id = id;
   ++tickets_by_subsystem_[ticket.subsystem];
   do_add_ticket(std::move(ticket));
   return id;
 }
 
 void TraceWriter::add_tickets(std::span<Ticket> tickets) {
+  for (const Ticket& ticket : tickets) check_subsystem(ticket);
   for (Ticket& ticket : tickets) {
     ticket.id = TicketId{next_ticket_++};
-    require(ticket.subsystem < kSubsystemCount,
-            "TraceWriter: ticket with invalid subsystem");
     ++tickets_by_subsystem_[ticket.subsystem];
   }
   do_add_tickets(tickets);

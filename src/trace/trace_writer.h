@@ -10,9 +10,9 @@
 // volume metrics without a database to query.
 //
 // Writers are not thread-safe: the simulator's parallel phases render into
-// private slots and commit through the writer from their serial sections
-// only, which is also what keeps emitted traces bit-identical at any
-// --threads setting.
+// private slots and commit through the writer from the calling thread only,
+// one block at a time and in order, which is also what keeps emitted traces
+// bit-identical at any --threads setting.
 #pragma once
 
 #include <array>
@@ -34,9 +34,11 @@ class TraceWriter {
   // Assign ids (contiguous append order) and forward to the sink.
   ServerId add_server(ServerRecord record);
   TicketId add_ticket(Ticket ticket);
-  // Batch commit: assigns contiguous ids in span order (serially, so ids are
-  // independent of the sink), then hands the whole batch to the sink, which
-  // may encode it with column-level parallelism. Tickets are consumed.
+  // Batch commit: validates every ticket first (a bad one throws and leaves
+  // ids and tallies untouched), assigns contiguous ids in span order
+  // (serially, so ids are independent of the sink), then hands the whole
+  // batch to the sink, which may encode it with column-level parallelism.
+  // Tickets are consumed.
   void add_tickets(std::span<Ticket> tickets);
   void add_weekly_usage(const WeeklyUsage& usage);
   void add_power_event(const PowerEvent& event);

@@ -155,7 +155,26 @@ void ThreadPool::worker_loop(std::size_t worker) {
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
+  parallel_for(n, fn, {});
+}
+
+void ThreadPool::parallel_for(std::size_t n,
+                              const std::function<void(std::size_t)>& fn,
+                              const std::function<void()>& caller_task) {
+  if (n == 0) {
+    if (caller_task) caller_task();
+    return;
+  }
+  // Items keep running when the task throws; its error is rethrown last.
+  std::exception_ptr caller_error;
+  const auto run_caller_task = [&] {
+    if (!caller_task) return;
+    try {
+      caller_task();
+    } catch (...) {
+      caller_error = std::current_exception();
+    }
+  };
   // Batch shape depends only on n, never on the schedule, so these stay in
   // the deterministic export.
   static obs::Counter& batches = obs::counter("fa.pool.batches");
@@ -167,7 +186,8 @@ void ThreadPool::parallel_for(std::size_t n,
   items.add(n);
   batch_items.record(static_cast<double>(n));
   auto batch = std::make_shared<Batch>(n, fn);
-  if (threads_.empty() || n == 1) {
+  if (threads_.empty() || (n == 1 && !caller_task)) {
+    run_caller_task();
     batch->run_slice();  // inline: nothing to share
   } else {
     {
@@ -175,6 +195,7 @@ void ThreadPool::parallel_for(std::size_t n,
       open_.push_back(batch);
     }
     work_available_.notify_all();
+    run_caller_task();
     batch->run_slice();
     // Every item is claimed now; retire the batch so idle workers stop
     // finding it, then wait for the items other threads still hold.
@@ -187,6 +208,7 @@ void ThreadPool::parallel_for(std::size_t n,
       return batch->done.load(std::memory_order_acquire) >= batch->n;
     });
   }
+  if (caller_error) std::rethrow_exception(caller_error);
   if (batch->error) std::rethrow_exception(batch->error);
 }
 
@@ -223,6 +245,11 @@ std::size_t ThreadPool::hardware_threads() {
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
   ThreadPool::global().parallel_for(n, fn);
+}
+
+void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
+                  const std::function<void()>& caller_task) {
+  ThreadPool::global().parallel_for(n, fn, caller_task);
 }
 
 }  // namespace fa

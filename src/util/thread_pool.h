@@ -43,6 +43,21 @@ class ThreadPool {
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& fn);
 
+  // As above, and runs caller_task() once on the calling thread while the
+  // workers start on the items; the caller then helps drain them. Returns
+  // when both are done. This overlaps serial work (e.g. committing one
+  // block) with the parallel work (rendering the next), and keeps that
+  // serial work on the calling thread, not on whichever worker is free.
+  //
+  // With n == 0 the task runs inline and no batch is counted; on a
+  // 1-thread pool the task runs first, then the items inline. Every item
+  // runs even if the task or another item throws; the task's exception is
+  // rethrown first, otherwise the first item exception. The task may call
+  // parallel_for itself. An empty task makes this the two-argument form.
+  void parallel_for(std::size_t n,
+                    const std::function<void(std::size_t)>& fn,
+                    const std::function<void()>& caller_task);
+
   // The process-wide pool. Sized by set_default_thread_count() (or
   // hardware_concurrency) on first use; resized on subsequent changes.
   static ThreadPool& global();
@@ -75,7 +90,9 @@ class ThreadPool {
   bool shutting_down_ = false;
 };
 
-// Convenience wrapper over the global pool: deterministic parallel loop.
+// Convenience wrappers over the global pool: deterministic parallel loops.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
+void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
+                  const std::function<void()>& caller_task);
 
 }  // namespace fa

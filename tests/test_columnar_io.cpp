@@ -3,8 +3,11 @@
 #include <unistd.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -13,11 +16,13 @@
 #include "src/analysis/out_of_core.h"
 #include "src/inject/corruptor.h"
 #include "src/sim/simulator.h"
+#include "src/trace/chunk.h"
 #include "src/trace/csv_io.h"
 #include "src/trace/filters.h"
 #include "src/trace/sanitize.h"
 #include "src/trace/trace_writer.h"
 #include "src/util/error.h"
+#include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 #include "tests/test_support.h"
 
@@ -365,6 +370,175 @@ TEST_F(ColumnarIoTest, StreamedFileMatchesInMemorySimulation) {
   }
   expect_databases_equal(sim::simulate(config),
                          load_columnar(path("stream.fac")));
+}
+
+// A bad ticket anywhere in a batch must be rejected before the writer
+// consumes an id or counts a ticket the sink never receives.
+TEST_F(ColumnarIoTest, InvalidTicketInABatchLeavesTalliesUnchanged) {
+  TraceDatabase db;
+  DatabaseTraceWriter writer(db);
+  const auto make_ticket = [](Subsystem sys) {
+    Ticket t;
+    t.server = ServerId{0};
+    t.subsystem = sys;
+    return t;
+  };
+  std::vector<Ticket> good = {make_ticket(0), make_ticket(2), make_ticket(2)};
+  writer.add_tickets(good);
+  const auto tallies = [&writer] {
+    std::vector<std::size_t> out;
+    for (Subsystem sys = 0; sys < kSubsystemCount; ++sys) {
+      out.push_back(writer.ticket_count(sys));
+    }
+    return out;
+  };
+  const std::vector<std::size_t> before = tallies();
+
+  std::vector<Ticket> bad = {make_ticket(1), make_ticket(kSubsystemCount),
+                             make_ticket(3)};
+  EXPECT_THROW(writer.add_tickets(bad), Error);
+  EXPECT_THROW(writer.add_ticket(make_ticket(kSubsystemCount)), Error);
+  EXPECT_EQ(writer.ticket_count(), 3u);
+  EXPECT_EQ(tallies(), before);
+  EXPECT_EQ(db.tickets().size(), 3u);
+
+  // The next valid ticket gets the next id the sink expects.
+  EXPECT_EQ(writer.add_ticket(make_ticket(4)), TicketId{3});
+  EXPECT_EQ(writer.ticket_count(4), 1u);
+}
+
+// ---- dictionary encoding (chunk.h) ----
+
+// The kStringDict block of `column` in an encoded chunk, read back as its
+// four parts.
+struct DictBlock {
+  std::uint32_t dict_count = 0;
+  std::vector<std::uint32_t> offsets;
+  std::string blob;
+  std::vector<std::uint32_t> indices;
+};
+
+DictBlock read_dict_block(const std::vector<std::byte>& out,
+                          const columnar::ChunkInfo& info,
+                          std::size_t column) {
+  const columnar::ColumnBlockInfo& block = info.columns[column];
+  const std::byte* p = out.data() + block.offset;
+  DictBlock d;
+  std::memcpy(&d.dict_count, p, 4);
+  d.offsets.resize(d.dict_count + 1);
+  std::memcpy(d.offsets.data(), p + 4, d.offsets.size() * 4);
+  const std::size_t blob_start = 4 + d.offsets.size() * 4;
+  d.blob.assign(reinterpret_cast<const char*>(p + blob_start),
+                d.offsets.back());
+  const std::size_t indices_start = (blob_start + d.blob.size() + 3) / 4 * 4;
+  EXPECT_EQ(block.size, indices_start + info.rows * 4ull);
+  d.indices.resize(info.rows);
+  std::memcpy(d.indices.data(), p + indices_start, d.indices.size() * 4);
+  EXPECT_EQ(block.extra, d.dict_count);
+  return d;
+}
+
+// One ticket chunk whose description and resolution columns hold the given
+// strings (all other columns zero).
+std::vector<std::byte> encode_ticket_text(
+    const std::vector<std::string>& descriptions,
+    const std::vector<std::string>& resolutions,
+    columnar::ChunkInfo& info) {
+  using namespace columnar::col;
+  columnar::ChunkBuilder builder(columnar::Table::kTickets);
+  for (std::size_t r = 0; r < descriptions.size(); ++r) {
+    for (const std::size_t c :
+         {kTicketIncident, kTicketServer, kTicketSubsystem, kTicketIsCrash,
+          kTicketTrueClass, kTicketOpened, kTicketClosed}) {
+      builder.add_int(c, 0);
+    }
+    builder.add_string(kTicketDescription, descriptions[r]);
+    builder.add_string(kTicketResolution, resolutions[r]);
+    builder.next_row();
+  }
+  std::vector<std::byte> out;
+  info = builder.encode(out);
+  return out;
+}
+
+TEST(ChunkDictionary, EncodesEmptyPrefixAndDuplicateStringsExactly) {
+  using columnar::col::kTicketDescription;
+  using columnar::col::kTicketResolution;
+  const std::vector<std::string> descriptions = {
+      "ab", "", "a", "abc", "ab", "", "a", "ab", "abc", "ab", "", "ab"};
+  const std::vector<std::string> resolutions(descriptions.size(), "same");
+  columnar::ChunkInfo info;
+  const std::vector<std::byte> out =
+      encode_ticket_text(descriptions, resolutions, info);
+
+  // Slots follow first appearance; each distinct string is stored once.
+  const DictBlock d = read_dict_block(out, info, kTicketDescription);
+  EXPECT_EQ(d.dict_count, 4u);
+  EXPECT_EQ(d.offsets, (std::vector<std::uint32_t>{0, 2, 2, 3, 6}));
+  EXPECT_EQ(d.blob, "abaabc");
+  EXPECT_EQ(d.indices, (std::vector<std::uint32_t>{0, 1, 2, 3, 0, 1, 2, 0,
+                                                   3, 0, 1, 0}));
+
+  const DictBlock r = read_dict_block(out, info, kTicketResolution);
+  EXPECT_EQ(r.dict_count, 1u);
+  EXPECT_EQ(r.offsets, (std::vector<std::uint32_t>{0, 4}));
+  EXPECT_EQ(r.blob, "same");
+  EXPECT_EQ(r.indices, std::vector<std::uint32_t>(descriptions.size(), 0));
+
+  const columnar::ChunkView view(columnar::Table::kTickets, info, out.data());
+  for (std::uint32_t row = 0; row < info.rows; ++row) {
+    EXPECT_EQ(view.column(kTicketDescription).string_at(row),
+              descriptions[row]);
+  }
+}
+
+// Enough distinct values that the dictionary index grows several times;
+// every string must still map to its first slot.
+TEST(ChunkDictionary, ManyDistinctValuesKeepFirstAppearanceSlots) {
+  using columnar::col::kTicketDescription;
+  constexpr std::size_t kDistinct = 9000;
+  constexpr std::size_t kRows = 20000;
+  std::vector<std::string> descriptions;
+  Rng rng(5);
+  std::size_t fresh = 0;
+  for (std::size_t r = 0; r < kRows; ++r) {
+    // Every third row repeats an earlier value, the rest are new until
+    // kDistinct values exist; after that everything repeats. "value 1" is a
+    // prefix of "value 12", so prefixes are covered too.
+    const bool repeat = fresh > 0 && (r % 3 == 2 || fresh == kDistinct);
+    const std::size_t v =
+        repeat ? static_cast<std::size_t>(rng.uniform_int(
+                     0, static_cast<std::int64_t>(fresh) - 1))
+               : fresh++;
+    descriptions.push_back("value " + std::to_string(v));
+  }
+  const std::vector<std::string> resolutions(kRows, "");
+  columnar::ChunkInfo info;
+  const std::vector<std::byte> out =
+      encode_ticket_text(descriptions, resolutions, info);
+
+  // Oracle: first-appearance slots from a plain map.
+  std::map<std::string, std::uint32_t> slot_of;
+  std::vector<std::string> slots;
+  std::vector<std::uint32_t> indices;
+  for (const std::string& s : descriptions) {
+    const auto [it, inserted] =
+        slot_of.emplace(s, static_cast<std::uint32_t>(slots.size()));
+    if (inserted) slots.push_back(s);
+    indices.push_back(it->second);
+  }
+  ASSERT_GT(slots.size(), 4096u);
+
+  const DictBlock d = read_dict_block(out, info, kTicketDescription);
+  ASSERT_EQ(d.dict_count, slots.size());
+  std::string blob;
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    ASSERT_EQ(d.offsets[k], blob.size()) << "slot " << k;
+    blob += slots[k];
+  }
+  EXPECT_EQ(d.offsets.back(), blob.size());
+  EXPECT_EQ(d.blob, blob);
+  EXPECT_EQ(d.indices, indices);
 }
 
 // ---- predicate pushdown (filters.h) ----

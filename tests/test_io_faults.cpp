@@ -15,7 +15,9 @@
 #include <gtest/gtest.h>
 
 #include "src/obs/metrics.h"
+#include "src/sim/simulator.h"
 #include "src/trace/columnar_io.h"
+#include "src/trace/trace_writer.h"
 #include "src/util/io.h"
 #include "src/util/thread_pool.h"
 #include "tests/test_support.h"
@@ -375,6 +377,57 @@ TEST(IoFaultDeterminismTest, FaultScheduleIsThreadCountInvariant) {
       << "expected a non-empty fault schedule";
   EXPECT_EQ(csv1, csv8) << "fault schedule depends on thread count";
   EXPECT_EQ(bytes1, bytes8) << "faulted output depends on thread count";
+}
+
+// The simulator commits each block on the calling thread while the pool
+// renders the next one. A crash in the middle of a commit must surface as
+// the same typed error after the same bytes at any thread count, and the
+// pool must not hang waiting on the block being rendered.
+TEST(IoFaultDeterminismTest, SimulateIntoCrashingFileFailsTheSameAtAnyThreads) {
+  const auto config = sim::SimulationConfig::paper_defaults().scaled(0.05);
+  trace::WriterOptions options;
+  options.chunk_rows = 512;  // chunks reach the file during generation
+
+  struct Outcome {
+    std::string error;
+    std::uint64_t crash_offset = 0;
+    std::vector<std::byte> bytes;
+  };
+  const auto run = [&](std::size_t threads, std::int64_t crash_at) {
+    ThreadPool::set_default_thread_count(threads);
+    IoFaultConfig faults;
+    faults.crash_at_byte = crash_at;
+    auto memory = std::make_unique<MemoryFile>();
+    const MemoryFile* raw = memory.get();
+    trace::ColumnarTraceWriter writer(
+        std::make_unique<FaultyFile>(std::move(memory), faults), options);
+    Outcome out;
+    try {
+      sim::simulate_to(config, writer);
+    } catch (const InjectedCrash& e) {
+      out.error = e.what();
+      out.crash_offset = e.offset();
+    }
+    out.bytes = raw->bytes();
+    ThreadPool::set_default_thread_count(0);
+    return out;
+  };
+
+  const Outcome clean = run(1, -1);
+  ASSERT_TRUE(clean.error.empty()) << clean.error;
+  const auto crash_at = static_cast<std::int64_t>(clean.bytes.size() / 2);
+  const Outcome one = run(1, crash_at);
+  const Outcome four = run(4, crash_at);
+  ASSERT_FALSE(one.error.empty()) << "expected InjectedCrash at 1 thread";
+  ASSERT_FALSE(four.error.empty()) << "expected InjectedCrash at 4 threads";
+  EXPECT_EQ(one.error, four.error);
+  EXPECT_EQ(one.crash_offset, static_cast<std::uint64_t>(crash_at));
+  EXPECT_EQ(four.crash_offset, static_cast<std::uint64_t>(crash_at));
+  ASSERT_EQ(one.bytes.size(), static_cast<std::size_t>(crash_at));
+  EXPECT_EQ(one.bytes, four.bytes) << "crash prefix depends on thread count";
+  EXPECT_TRUE(std::equal(one.bytes.begin(), one.bytes.end(),
+                         clean.bytes.begin()))
+      << "crash prefix is not a prefix of the clean file";
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "src/trace/columnar_io.h"
+#include "src/trace/fingerprint.h"
 #include "src/util/error.h"
 #include "src/util/thread_pool.h"
 #include "tests/test_support.h"
@@ -27,86 +27,6 @@ namespace fs = std::filesystem;
 using columnar::Table;
 
 constexpr std::uint32_t kChunkRows = 512;  // many chunks, several load waves
-
-// FNV-1a over every field of all five tables, free text included.
-class Digest {
- public:
-  template <typename T>
-  void add(const T& value) {
-    bytes(&value, sizeof(value));
-  }
-  template <typename T>
-  void add(const std::optional<T>& value) {
-    add(value.has_value());
-    if (value) add(*value);
-  }
-  void add(const std::string& s) {
-    add(s.size());
-    bytes(s.data(), s.size());
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      hash_ = (hash_ ^ b[i]) * 0x100000001b3ull;
-    }
-  }
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
-
-std::uint64_t trace_digest(const TraceDatabase& db) {
-  Digest d;
-  for (const ObservationWindow& w :
-       {db.window(), db.monitoring(), db.onoff_tracking()}) {
-    d.add(w.begin);
-    d.add(w.end);
-  }
-  for (const ServerRecord& s : db.servers()) {
-    d.add(s.id.value);
-    d.add(s.type);
-    d.add(s.subsystem);
-    d.add(s.cpu_count);
-    d.add(s.memory_gb);
-    d.add(s.disk_gb);
-    d.add(s.disk_count);
-    d.add(s.host_box.value);
-    d.add(s.first_record);
-    for (const WeeklyUsage& u : db.weekly_usage_for(s.id)) {
-      d.add(u.server.value);
-      d.add(u.week);
-      d.add(u.cpu_util);
-      d.add(u.mem_util);
-      d.add(u.disk_util);
-      d.add(u.net_kbps);
-    }
-    for (const PowerEvent& e : db.power_events_for(s.id)) {
-      d.add(e.server.value);
-      d.add(e.at);
-      d.add(e.powered_on);
-    }
-    for (const MonthlySnapshot& m : db.snapshots_for(s.id)) {
-      d.add(m.server.value);
-      d.add(m.month);
-      d.add(m.box.value);
-      d.add(m.consolidation);
-    }
-  }
-  for (const Ticket& t : db.tickets()) {
-    d.add(t.id.value);
-    d.add(t.incident.value);
-    d.add(t.server.value);
-    d.add(t.subsystem);
-    d.add(t.is_crash);
-    d.add(t.true_class);
-    d.add(t.opened);
-    d.add(t.closed);
-    d.add(t.description);
-    d.add(t.resolution);
-  }
-  return d.value();
-}
 
 class ParallelLoad : public ::testing::Test {
  protected:
@@ -199,11 +119,11 @@ TEST_F(ParallelLoad, FullTraceDigestIsThreadCountInvariant) {
     ASSERT_GT(reader.chunk_count(Table::kTickets), 16u);
     ASSERT_GT(reader.chunk_count(Table::kWeeklyUsage), 16u);
   }
-  const std::uint64_t expected = trace_digest(db);
+  const std::uint64_t expected = fingerprint(db);
   for (const bool use_mmap : {true, false}) {
     for (const std::size_t threads : {1u, 8u}) {
       ThreadPool::set_default_thread_count(threads);
-      EXPECT_EQ(trace_digest(load_columnar(path("trace.fac"), use_mmap)),
+      EXPECT_EQ(fingerprint(load_columnar(path("trace.fac"), use_mmap)),
                 expected)
           << threads << " threads, mmap " << use_mmap;
     }
@@ -262,7 +182,7 @@ TEST_F(ParallelLoad, LenientLoadIsThreadCountInvariant) {
   for (const std::size_t threads : {1u, 8u}) {
     ThreadPool::set_default_thread_count(threads);
     DegradedReadReport report;
-    digests.push_back(trace_digest(load_columnar_lenient(file, report)));
+    digests.push_back(fingerprint(load_columnar_lenient(file, report)));
     const auto t = static_cast<std::size_t>(Table::kTickets);
     EXPECT_EQ(report.chunks_skipped[t], 2u);
     EXPECT_EQ(report.rows_skipped[t], 2u * kChunkRows);

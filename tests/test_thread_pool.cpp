@@ -1,16 +1,20 @@
 // ThreadPool scheduling: every index runs exactly once, exceptions reach the
 // caller, and parallel_for calls nest — an item may run its own loop on the
 // same pool, and idle workers go back to the outer loop once the inner one
-// runs dry.
+// runs dry. The caller-task overload runs its task once, on the calling
+// thread, alongside the items.
 #include "src/util/thread_pool.h"
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/obs/metrics.h"
 
 namespace fa {
 namespace {
@@ -99,6 +103,133 @@ TEST(NestedParallelFor, IdleWorkersReturnToTheOuterLoop) {
   EXPECT_TRUE(all_met.load())
       << "only " << started.load() << " of " << kThreads
       << " outer items started: idle workers lost the outer loop";
+}
+
+constexpr std::size_t kPoolSizes[] = {1, 2, 4, 8};
+
+TEST(CallerTask, RunsOnceOnTheCallingThread) {
+  for (const std::size_t threads : kPoolSizes) {
+    ThreadPool pool(threads);
+    for (const std::size_t n : {0u, 1u, 2u, 1000u}) {
+      int runs = 0;
+      std::thread::id ran_on;
+      std::vector<std::atomic<int>> hits(n);
+      pool.parallel_for(
+          n, [&](std::size_t i) { hits[i].fetch_add(1); },
+          [&] {
+            ++runs;
+            ran_on = std::this_thread::get_id();
+          });
+      EXPECT_EQ(runs, 1) << threads << " threads, n " << n;
+      EXPECT_EQ(ran_on, std::this_thread::get_id())
+          << threads << " threads, n " << n;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i].load(), 1)
+            << "index " << i << ", " << threads << " threads, n " << n;
+      }
+    }
+  }
+}
+
+TEST(CallerTask, EmptyLoopRunsTheTaskWithoutABatch) {
+  const obs::Counter& batches = obs::counter("fa.pool.batches");
+  for (const std::size_t threads : kPoolSizes) {
+    ThreadPool pool(threads);
+    const std::uint64_t before = batches.value();
+    int runs = 0;
+    pool.parallel_for(0, [](std::size_t) {}, [&] { ++runs; });
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(batches.value(), before) << threads << " threads";
+  }
+}
+
+TEST(CallerTask, EveryItemRunsWhenTheTaskThrows) {
+  for (const std::size_t threads : kPoolSizes) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(500);
+    EXPECT_THROW(pool.parallel_for(
+                     hits.size(), [&](std::size_t i) { hits[i] += 1; },
+                     [] { throw std::logic_error("task"); }),
+                 std::logic_error)
+        << threads << " threads";
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << threads << " threads";
+  }
+}
+
+TEST(CallerTask, TaskExceptionWinsOverItemExceptions) {
+  for (const std::size_t threads : kPoolSizes) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(500);
+    bool task_ran = false;
+    try {
+      pool.parallel_for(
+          hits.size(),
+          [&](std::size_t i) {
+            hits[i] += 1;
+            if (i % 7 == 3) throw std::runtime_error("item");
+          },
+          [&] {
+            task_ran = true;
+            throw std::logic_error("task");
+          });
+      FAIL() << "expected an exception at " << threads << " threads";
+    } catch (const std::logic_error& e) {
+      EXPECT_STREQ(e.what(), "task");
+    } catch (const std::runtime_error&) {
+      FAIL() << "an item exception beat the task's at " << threads
+             << " threads";
+    }
+    EXPECT_TRUE(task_ran);
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << threads << " threads";
+  }
+}
+
+TEST(CallerTask, ItemExceptionPropagatesAfterTheTaskCompletes) {
+  for (const std::size_t threads : kPoolSizes) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(500);
+    bool task_done = false;
+    EXPECT_THROW(pool.parallel_for(
+                     hits.size(),
+                     [&](std::size_t i) {
+                       hits[i] += 1;
+                       if (i == 41) throw std::runtime_error("item");
+                     },
+                     [&] { task_done = true; }),
+                 std::runtime_error)
+        << threads << " threads";
+    EXPECT_TRUE(task_done) << threads << " threads";
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << threads << " threads";
+  }
+}
+
+TEST(CallerTask, NestedLoopInsideTheTaskCoversEveryIndex) {
+  constexpr std::size_t kOuter = 64;
+  constexpr std::size_t kInner = 9;
+  constexpr std::size_t kNested = 3000;
+  for (const std::size_t threads : kPoolSizes) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> outer(kOuter * kInner);
+    std::vector<std::atomic<int>> nested(kNested);
+    pool.parallel_for(
+        kOuter,
+        [&](std::size_t i) {
+          pool.parallel_for(kInner, [&](std::size_t j) {
+            outer[i * kInner + j] += 1;
+          });
+        },
+        [&] {
+          pool.parallel_for(kNested, [&](std::size_t k) { nested[k] += 1; });
+        });
+    for (std::size_t k = 0; k < outer.size(); ++k) {
+      ASSERT_EQ(outer[k].load(), 1) << "outer " << k << ", " << threads
+                                    << " threads";
+    }
+    for (std::size_t k = 0; k < kNested; ++k) {
+      ASSERT_EQ(nested[k].load(), 1) << "nested " << k << ", " << threads
+                                     << " threads";
+    }
+  }
 }
 
 }  // namespace
