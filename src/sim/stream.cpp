@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
@@ -59,22 +61,92 @@ TimePoint warp_fraction(const Timeline& tl, const ObservationWindow& window,
   return std::clamp(warped, window.begin, window.end - 1);
 }
 
-struct Entry {
+// A ticket's place in the delivery order: its (warped) opening time, then
+// its id. `row` indexes db.tickets().
+struct TicketKey {
   TimePoint at = 0;
-  trace::StreamEventKind kind = trace::StreamEventKind::kTicket;
-  const trace::Ticket* ticket = nullptr;
-  const trace::WeeklyUsage* usage = nullptr;
+  std::int32_t id = 0;
+  std::uint32_t row = 0;
 };
 
-// Deterministic delivery order: time, then kind, then record identity.
-bool entry_less(const Entry& a, const Entry& b) {
-  if (a.at != b.at) return a.at < b.at;
-  if (a.kind != b.kind) return a.kind < b.kind;
-  if (a.kind == trace::StreamEventKind::kTicket) {
-    return a.ticket->id < b.ticket->id;
+// The tickets opened (after the warp) before `stream_end`, in delivery
+// order.
+std::vector<TicketKey> tickets_in_order(const trace::TraceDatabase& db,
+                                        const Timeline* warp,
+                                        TimePoint stream_end) {
+  const ObservationWindow& window = db.window();
+  const std::vector<trace::Ticket>& tickets = db.tickets();
+  std::vector<TicketKey> keys;
+  keys.reserve(tickets.size());
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    const trace::Ticket& t = tickets[i];
+    TimePoint at = t.opened;
+    if (warp != nullptr && window.contains(t.opened)) {
+      const double u = static_cast<double>(t.opened - window.begin) /
+                       static_cast<double>(window.length());
+      at = warp_fraction(*warp, window, u);
+    }
+    if (at < stream_end) {
+      keys.push_back({at, t.id.value, static_cast<std::uint32_t>(i)});
+    }
   }
-  if (a.usage->server != b.usage->server) return a.usage->server < b.usage->server;
-  return a.usage->week < b.usage->week;
+  std::sort(keys.begin(), keys.end(),
+            [](const TicketKey& a, const TicketKey& b) {
+              return a.at != b.at ? a.at < b.at : a.id < b.id;
+            });
+  return keys;
+}
+
+// The usage rows available before `stream_end`, in (week, server) order.
+// Availability depends on the week alone and grows strictly with it below
+// the window end, so this is the (at, server, week) delivery order. The
+// database holds rows in (server, week) order; a stable LSD counting sort
+// on the week, in two 16-bit digits, reorders them in linear time. A
+// digit every row shares is skipped, so a one-year trace takes one pass.
+std::vector<const trace::WeeklyUsage*> usage_in_order(
+    const trace::TraceDatabase& db, TimePoint stream_end) {
+  std::size_t total = 0;
+  for (const trace::ServerRecord& s : db.servers()) {
+    total += db.weekly_usage_for(s.id).size();
+  }
+  std::vector<const trace::WeeklyUsage*> rows;
+  rows.reserve(total);
+  for (const trace::ServerRecord& s : db.servers()) {
+    for (const trace::WeeklyUsage& u : db.weekly_usage_for(s.id)) {
+      if (usage_available_at(db.window(), u.week) < stream_end) {
+        rows.push_back(&u);
+      }
+    }
+  }
+  // Digit d of the week with its sign bit flipped, so negative weeks sort
+  // first.
+  const auto digit = [](const trace::WeeklyUsage* u, int d) {
+    const std::uint32_t key =
+        static_cast<std::uint32_t>(u->week) ^ 0x8000'0000u;
+    return (key >> (16 * d)) & 0xFFFFu;
+  };
+  // Per digit, counts shifted by one so an in-place prefix sum gives each
+  // bucket's first output slot.
+  constexpr std::size_t kBuckets = std::size_t{1} << 16;
+  std::vector<std::size_t> start[2] = {std::vector<std::size_t>(kBuckets + 1),
+                                       std::vector<std::size_t>(kBuckets + 1)};
+  for (const trace::WeeklyUsage* u : rows) {
+    ++start[0][digit(u, 0) + 1];
+    ++start[1][digit(u, 1) + 1];
+  }
+  std::vector<const trace::WeeklyUsage*> sorted;
+  for (int d : {0, 1}) {
+    if (std::count(start[d].begin(), start[d].end(), rows.size()) > 0) {
+      continue;
+    }
+    std::partial_sum(start[d].begin(), start[d].end(), start[d].begin());
+    sorted.resize(rows.size());
+    for (const trace::WeeklyUsage* u : rows) {
+      sorted[start[d][digit(u, d)]++] = u;
+    }
+    rows.swap(sorted);
+  }
+  return rows;
 }
 
 }  // namespace
@@ -87,6 +159,12 @@ std::vector<TimePoint> StreamScenario::change_points() const {
     factor = s.factor;
   }
   return points;
+}
+
+TimePoint usage_available_at(const ObservationWindow& window, int week) {
+  return std::min(
+      window.begin + (static_cast<TimePoint>(week) + 1) * kMinutesPerWeek,
+      window.end);
 }
 
 TimePoint warp_time(const StreamScenario& scenario,
@@ -119,56 +197,44 @@ void emit_stream(const trace::TraceDatabase& db,
     ++meta.servers_by_subsystem[s.subsystem];
   }
 
-  std::vector<Entry> entries;
-  entries.reserve(db.tickets().size());
-  for (const trace::Ticket& t : db.tickets()) {
-    Entry e;
-    e.kind = trace::StreamEventKind::kTicket;
-    e.ticket = &t;
-    e.at = t.opened;
-    if (warp && window.contains(t.opened)) {
-      const double u = static_cast<double>(t.opened - window.begin) /
-                       static_cast<double>(window.length());
-      e.at = warp_fraction(tl, window, u);
-    }
-    entries.push_back(e);
-  }
-  // A weekly average becomes available at the end of its week; the
-  // monitoring cadence is wall-clock, so usage timestamps are never warped.
-  for (const trace::ServerRecord& s : db.servers()) {
-    for (const trace::WeeklyUsage& u : db.weekly_usage_for(s.id)) {
-      Entry e;
-      e.kind = trace::StreamEventKind::kUsage;
-      e.usage = &u;
-      e.at = std::min<TimePoint>(
-          window.begin + static_cast<TimePoint>(u.week + 1) * kMinutesPerWeek,
-          window.end);
-      entries.push_back(e);
-    }
-  }
-  std::sort(entries.begin(), entries.end(), entry_less);
+  const std::vector<TicketKey> tickets =
+      tickets_in_order(db, warp ? &tl : nullptr, stream_end);
+  const std::vector<const trace::WeeklyUsage*> usage =
+      usage_in_order(db, stream_end);
 
   sink.begin(meta);
-  std::size_t delivered = 0;
-  for (const Entry& e : entries) {
-    if (e.at >= stream_end) break;  // sorted: everything later is cut off too
-    trace::StreamEvent event;
-    event.kind = e.kind;
-    event.at = e.at;
-    if (e.kind == trace::StreamEventKind::kTicket) {
-      event.ticket = *e.ticket;
-      event.ticket.opened = e.at;
-      event.ticket.closed = e.at + e.ticket->repair_time();
-      event.machine_type = db.server(e.ticket->server).type;
+  // One event per kind serves every delivery: assigning a ticket reuses the
+  // capacity its strings already hold, and the payload a kind leaves unset
+  // stays default, as a copying sink expects.
+  trace::StreamEvent ticket_event;
+  ticket_event.kind = trace::StreamEventKind::kTicket;
+  trace::StreamEvent usage_event;
+  usage_event.kind = trace::StreamEventKind::kUsage;
+  std::size_t ti = 0;
+  std::size_t ui = 0;
+  while (ti < tickets.size() || ui < usage.size()) {
+    // Merge by time; on equal `at` the ticket goes first (kind order).
+    if (ui == usage.size() ||
+        (ti < tickets.size() &&
+         tickets[ti].at <= usage_available_at(window, usage[ui]->week))) {
+      const TicketKey& k = tickets[ti++];
+      const trace::Ticket& t = db.tickets()[k.row];
+      ticket_event.at = k.at;
+      ticket_event.ticket = t;
+      ticket_event.ticket.opened = k.at;
+      ticket_event.ticket.closed = k.at + t.repair_time();
+      ticket_event.machine_type = db.server(t.server).type;
+      sink.on_event(ticket_event);
     } else {
-      event.usage = *e.usage;
-      event.machine_type = db.server(e.usage->server).type;
+      const trace::WeeklyUsage& u = *usage[ui++];
+      usage_event.at = usage_available_at(window, u.week);
+      usage_event.usage = u;
+      usage_event.machine_type = db.server(u.server).type;
+      sink.on_event(usage_event);
     }
-    sink.on_event(event);
-    ++delivered;
   }
   sink.finish(stream_end);
-  obs::counter("fa.detect.stream.emitted").add(delivered);
+  obs::counter("fa.detect.stream.emitted").add(tickets.size() + usage.size());
 }
 
 }  // namespace fa::sim

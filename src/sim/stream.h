@@ -54,10 +54,19 @@ struct StreamScenario {
 // Replays `db` (finalized) into `sink` as a merged, timestamp-ordered
 // event stream: begin(meta), every ticket opening + weekly usage sample in
 // `at` order, finish(end). Deterministic: equal inputs produce an identical
-// delivery sequence at any thread count (the emitter itself is serial; its
-// cost is one sort over the event index).
+// delivery sequence at any thread count. The emitter is serial: it sorts
+// the tickets alone, orders the usage rows by week with a linear-time
+// counting sort, merges the two and delivers through one reused
+// StreamEvent per kind. Beyond the database it holds 16 bytes per ticket,
+// two pointers per usage row and two 512 KB digit tables.
 void emit_stream(const trace::TraceDatabase& db,
                  const StreamScenario& scenario, trace::StreamSink& sink);
+
+// When the weekly average of `week` becomes available: the end of that
+// week, clamped to the window end. Computed in TimePoint, so every int week
+// (a loaded trace may hold INT_MAX) is well defined. Usage timestamps
+// follow the wall-clock monitoring cadence and are never warped.
+TimePoint usage_available_at(const ObservationWindow& window, int week);
 
 // The warped timestamp of `t` under the scenario timeline within `window`
 // (identity outside the window or with no shifts). Exposed for tests.

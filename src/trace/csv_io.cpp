@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "src/obs/span.h"
 #include "src/util/csv.h"
@@ -32,9 +33,36 @@ std::optional<double> field_to_opt_double(const std::string& s) {
   return parse_finite_double(s);
 }
 
-std::optional<int> field_to_opt_int(const std::string& s) {
+// A 32-bit integer column: parse_int's int64, range-checked so a value that
+// does not fit is a typed error naming the file and column, not a silent
+// truncation.
+std::int32_t parse_i32(const std::string& field, const std::string& path,
+                       const char* column) {
+  const std::int64_t v = parse_int(field);
+  require(v >= std::numeric_limits<std::int32_t>::min() &&
+              v <= std::numeric_limits<std::int32_t>::max(),
+          [&] {
+            return "load_database: " + std::string(column) + " '" + field +
+                   "' does not fit in 32 bits in " + path;
+          });
+  return static_cast<std::int32_t>(v);
+}
+
+// Subsystem ids index per-subsystem tables, so any value outside
+// [0, kSubsystemCount) is rejected, as the .fac reader does.
+Subsystem parse_subsystem(const std::string& field, const std::string& path) {
+  const std::int64_t v = parse_int(field);
+  require(v >= 0 && v < kSubsystemCount, [&] {
+    return "load_database: subsystem '" + field + "' out of range in " + path;
+  });
+  return static_cast<Subsystem>(v);
+}
+
+std::optional<int> field_to_opt_int(const std::string& s,
+                                    const std::string& path,
+                                    const char* column) {
   if (s.empty()) return std::nullopt;
-  return static_cast<int>(parse_int(s));
+  return parse_i32(s, path, column);
 }
 
 std::ofstream open_out(const std::string& path) {
@@ -254,20 +282,19 @@ TraceDatabase load_database(const std::string& directory) {
               [&] { return "load_database: bad row in " + path; });
       ServerRecord s;
       s.type = machine_type_from_string(row[1]);
-      s.subsystem = static_cast<Subsystem>(parse_int(row[2]));
-      s.cpu_count = static_cast<int>(parse_int(row[3]));
+      s.subsystem = parse_subsystem(row[2], path);
+      s.cpu_count = parse_i32(row[3], path, "cpu_count");
       s.memory_gb = parse_finite_double(row[4]);
       s.disk_gb = field_to_opt_double(row[5]);
-      s.disk_count = field_to_opt_int(row[6]);
+      s.disk_count = field_to_opt_int(row[6], path, "disk_count");
       if (!row[7].empty()) {
-        s.host_box = BoxId{static_cast<std::int32_t>(parse_int(row[7]))};
+        s.host_box = BoxId{parse_i32(row[7], path, "host_box")};
       }
       s.first_record = parse_int(row[8]);
       const ServerId assigned = db.add_server(s);
-      require(assigned.value == static_cast<std::int32_t>(parse_int(row[0])),
-              [&] {
-                return "load_database: non-contiguous server ids in " + path;
-              });
+      require(assigned.value == parse_i32(row[0], path, "id"), [&] {
+        return "load_database: non-contiguous server ids in " + path;
+      });
     }
   }
   {
@@ -280,13 +307,13 @@ TraceDatabase load_database(const std::string& directory) {
               [&] { return "load_database: bad row in " + path; });
       Ticket t;
       if (!row[1].empty()) {
-        t.incident = IncidentId{static_cast<std::int32_t>(parse_int(row[1]))};
+        t.incident = IncidentId{parse_i32(row[1], path, "incident")};
         max_incident = std::max(max_incident, t.incident.value);
       }
       if (!row[2].empty()) {
-        t.server = ServerId{static_cast<std::int32_t>(parse_int(row[2]))};
+        t.server = ServerId{parse_i32(row[2], path, "server")};
       }
-      t.subsystem = static_cast<Subsystem>(parse_int(row[3]));
+      t.subsystem = parse_subsystem(row[3], path);
       t.is_crash = parse_int(row[4]) != 0;
       t.true_class = failure_class_from_string(row[5]);
       t.opened = parse_int(row[6]);
@@ -294,10 +321,9 @@ TraceDatabase load_database(const std::string& directory) {
       t.description = row[8];
       t.resolution = row[9];
       const TicketId assigned = db.add_ticket(std::move(t));
-      require(assigned.value == static_cast<std::int32_t>(parse_int(row[0])),
-              [&] {
-                return "load_database: non-contiguous ticket ids in " + path;
-              });
+      require(assigned.value == parse_i32(row[0], path, "id"), [&] {
+        return "load_database: non-contiguous ticket ids in " + path;
+      });
     }
   }
   {
@@ -309,8 +335,8 @@ TraceDatabase load_database(const std::string& directory) {
       require(row.size() == 6,
               [&] { return "load_database: bad row in " + path; });
       WeeklyUsage u;
-      u.server = ServerId{static_cast<std::int32_t>(parse_int(row[0]))};
-      u.week = static_cast<int>(parse_int(row[1]));
+      u.server = ServerId{parse_i32(row[0], path, "server")};
+      u.week = parse_i32(row[1], path, "week");
       u.cpu_util = parse_finite_double(row[2]);
       u.mem_util = parse_finite_double(row[3]);
       u.disk_util = field_to_opt_double(row[4]);
@@ -327,7 +353,7 @@ TraceDatabase load_database(const std::string& directory) {
       require(row.size() == 3,
               [&] { return "load_database: bad row in " + path; });
       PowerEvent e;
-      e.server = ServerId{static_cast<std::int32_t>(parse_int(row[0]))};
+      e.server = ServerId{parse_i32(row[0], path, "server")};
       e.at = parse_int(row[1]);
       e.powered_on = parse_int(row[2]) != 0;
       db.add_power_event(e);
@@ -342,12 +368,10 @@ TraceDatabase load_database(const std::string& directory) {
       require(row.size() == 4,
               [&] { return "load_database: bad row in " + path; });
       MonthlySnapshot s;
-      s.server = ServerId{static_cast<std::int32_t>(parse_int(row[0]))};
-      s.month = static_cast<int>(parse_int(row[1]));
-      if (!row[2].empty()) {
-        s.box = BoxId{static_cast<std::int32_t>(parse_int(row[2]))};
-      }
-      s.consolidation = static_cast<int>(parse_int(row[3]));
+      s.server = ServerId{parse_i32(row[0], path, "server")};
+      s.month = parse_i32(row[1], path, "month");
+      if (!row[2].empty()) s.box = BoxId{parse_i32(row[2], path, "box")};
+      s.consolidation = parse_i32(row[3], path, "consolidation");
       db.add_monthly_snapshot(s);
     }
   }

@@ -60,6 +60,9 @@ class StreamSink {
   virtual ~StreamSink() = default;
 
   virtual void begin(const StreamMeta& meta) = 0;
+  // `event` is valid only for the duration of the call: emitters reuse
+  // their StreamEvent objects from one delivery to the next, so a sink that
+  // keeps an event must copy it.
   virtual void on_event(const StreamEvent& event) = 0;
   // `stream_end` is the time the feed stopped — for a complete trace the
   // window end, for a tenant that disconnected mid-window the cutoff.

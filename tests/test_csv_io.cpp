@@ -186,6 +186,38 @@ TEST_F(CsvInjectionTest, InvalidConsolidationRejected) {
   EXPECT_THROW(load_database(dir()), Error);
 }
 
+TEST_F(CsvInjectionTest, OutOfRangeIntegersRejectedNamingFileAndField) {
+  // Each value would narrow to a valid-looking 32-bit (or subsystem) id:
+  // server 2^32 used to load as server 0.
+  struct Case {
+    const char* file;
+    const char* row;
+    const char* field;
+  };
+  const Case cases[] = {
+      {"weekly_usage.csv", "4294967296,3,10.0,10.0,,", "server"},
+      {"weekly_usage.csv", "0,4294967299,10.0,10.0,,", "week"},
+      {"power_events.csv", "-4294967296,100,1", "server"},
+      {"snapshots.csv", "0,1,4294967296,1", "box"},
+      {"snapshots.csv", "0,1,0,4294967297", "consolidation"},
+      {"servers.csv", "999999,PM,300,4,8.000,,,,0", "subsystem"},
+      {"servers.csv", "999999,PM,0,4294967300,8.000,,,,0", "cpu_count"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.row);
+    SetUp();
+    inject(c.file, c.row);
+    try {
+      load_database(dir());
+      ADD_FAILURE() << "loaded an out-of-range " << c.field;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.file), std::string::npos) << what;
+      EXPECT_NE(what.find(c.field), std::string::npos) << what;
+    }
+  }
+}
+
 TEST_F(CsvIoTest, CorruptHeaderThrows) {
   auto config = fa::sim::SimulationConfig::paper_defaults().scaled(0.02);
   const TraceDatabase original = fa::sim::simulate(config);

@@ -56,10 +56,7 @@ DeliveredUsage delivered_usage(const trace::TraceDatabase& db) {
   const ObservationWindow& w = db.window();
   for (const trace::ServerRecord& s : db.servers()) {
     for (const trace::WeeklyUsage& u : db.weekly_usage_for(s.id)) {
-      if (w.begin + static_cast<TimePoint>(u.week + 1) * kMinutesPerWeek >=
-          w.end) {
-        continue;
-      }
+      if (sim::usage_available_at(w, u.week) >= w.end) continue;
       ++d.rows;
       d.cpu_sum += u.cpu_util;
       d.mem_sum += u.mem_util;
