@@ -1,57 +1,38 @@
-// Performance toolkit. Default mode times the pipeline stages (simulate,
-// classify) serial vs parallel, breaks the classify stage into
-// vectorize/kmeans sub-stages timed dense vs sparse
-// (with an assignments-identical cross-check), times trace save/load CSV
-// vs columnar (with a record-identity and out-of-core-equivalence check),
-// checks that the parallel trace is identical to the serial one, times the
-// vectorized stats kernels against their scalar references (`simd` block),
-// sweeps the stages over 1/2/4/8 threads with an Amdahl serial-fraction
-// fit (`thread_scaling` block; meaningless on a 1-core host, which sets
-// `single_core_warning` and warns on stderr), and writes the results to
-// BENCH_perf.json (machine-readable; path override:
-// --json PATH; fleet size: --scale F, default 0.3). --stream S instead
-// runs the out-of-core path end to end — streaming simulate -> columnar
-// file -> chunk-at-a-time summary at scale S (which may exceed 1) — and
-// reports peak RSS alongside the timings (default JSON: BENCH_stream.json).
-// --metrics PATH / --trace-out PATH write the observability registry's
-// JSON snapshot and Chrome trace after the stage report; --no-obs turns
-// recording off. The google-benchmark microbenchmarks of the underlying
-// kernels (fitting, ECDF, k-means, extraction) run with --micro, which
-// accepts the usual --benchmark_* flags.
+// Performance toolkit. Default mode times the vectorized stats kernels
+// against their scalar references (`simd` block) and writes the table to
+// BENCH_perf.json (path override: --json PATH). --stream S instead runs the
+// out-of-core path end to end — streaming simulate -> columnar file ->
+// chunk-at-a-time summary at scale S (which may exceed 1) — and reports
+// peak RSS alongside the timings (default JSON: BENCH_stream.json). The
+// google-benchmark microbenchmarks of the underlying kernels (fitting,
+// ECDF, k-means, extraction) run with --micro, which accepts the usual
+// --benchmark_* flags. End-to-end timings of the paper report, trace
+// generation and online detection live in perfbench/.
 #include <benchmark/benchmark.h>
 
 #include <sys/resource.h>
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/analysis/classification.h"
 #include "src/analysis/out_of_core.h"
-#include "src/detect/serve.h"
-#include "src/obs/export.h"
-#include "src/obs/metrics.h"
-#include "src/analysis/pipeline.h"
 #include "src/analysis/recurrence.h"
 #include "src/sim/simulator.h"
-#include "src/trace/columnar_io.h"
-#include "src/trace/csv_io.h"
-#include "src/trace/fingerprint.h"
-#include "src/trace/trace_writer.h"
 #include "src/stats/ecdf.h"
 #include "src/stats/fitting.h"
 #include "src/stats/kmeans.h"
 #include "src/stats/simd.h"
 #include "src/text/features.h"
+#include "src/trace/trace_writer.h"
+#include "src/util/csv.h"
+#include "src/util/error.h"
 #include "src/util/rng.h"
-#include "src/util/thread_pool.h"
 
 namespace {
 
@@ -62,38 +43,6 @@ double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
 }
-
-// A cheap structural checksum of the ticket table (server, opened, closed,
-// is_crash). The CSV round trip keeps these exact but rounds usage to 4
-// decimals, so roundtrip_identical uses this rather than the full
-// trace::fingerprint, which that lossy round trip would fail.
-std::uint64_t trace_checksum(const trace::TraceDatabase& db) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  mix(db.tickets().size());
-  for (const auto& t : db.tickets()) {
-    mix(static_cast<std::uint64_t>(t.server.value));
-    mix(static_cast<std::uint64_t>(t.opened));
-    mix(static_cast<std::uint64_t>(t.closed));
-    mix(t.is_crash);
-  }
-  return h;
-}
-
-struct StageTiming {
-  std::string name;
-  double serial_ms = 0.0;
-  double parallel_ms = 0.0;
-};
-
-struct SubStageTiming {
-  std::string name;
-  double dense_ms = 0.0;
-  double sparse_ms = 0.0;
-};
 
 // ---- simd block: dispatched kernels vs their scalar references ----
 
@@ -170,176 +119,9 @@ std::vector<KernelTiming> run_simd_report(std::size_t n, int iters) {
   return kernels;
 }
 
-// ---- thread_scaling block: stage sweep over 1/2/4/8 threads ----
-
-inline constexpr std::array<int, 4> kScalingThreads = {1, 2, 4, 8};
-
-struct ScalingStage {
-  std::string name;
-  std::array<double, kScalingThreads.size()> ms{};
-  double serial_fraction = 0.0;
-};
-
-int run_stage_report(double scale, const std::string& json_path) {
-  const auto config = sim::SimulationConfig::paper_defaults().scaled(scale);
-  const std::size_t hw = ThreadPool::hardware_threads();
-  const bool single_core = hw <= 1;
-  if (single_core) {
-    std::fprintf(stderr,
-                 "warning: only 1 hardware core is available; parallel "
-                 "speedups and the thread-scaling sweep are not meaningful "
-                 "on this host\n");
-  }
-  std::vector<StageTiming> stages;
-
-  // simulate: serial vs parallel, with an identity check on the output.
-  ThreadPool::set_default_thread_count(1);
-  auto t0 = Clock::now();
-  const auto serial_db = sim::simulate(config);
-  const double simulate_serial = ms_since(t0);
-  ThreadPool::set_default_thread_count(0);  // hardware concurrency
-  t0 = Clock::now();
-  const auto parallel_db = sim::simulate(config);
-  const double simulate_parallel = ms_since(t0);
-  const bool identical =
-      trace::fingerprint(serial_db) == trace::fingerprint(parallel_db);
-  stages.push_back({"simulate", simulate_serial, simulate_parallel});
-
-  // classify (the analysis pipeline: extraction + k-means restarts).
-  ThreadPool::set_default_thread_count(1);
-  t0 = Clock::now();
-  const analysis::AnalysisPipeline serial_pipeline(serial_db);
-  const double classify_serial = ms_since(t0);
-  ThreadPool::set_default_thread_count(0);
-  t0 = Clock::now();
-  const analysis::AnalysisPipeline parallel_pipeline(parallel_db);
-  const double classify_parallel = ms_since(t0);
-  stages.push_back({"classify", classify_serial, classify_parallel});
-
-  // classify sub-stages, dense vs sparse, on the crash-extraction shape:
-  // TF-IDF over every ticket description, then anchored 24-cluster k-means.
-  // The dense path is the reference implementation; the sparse path is what
-  // production classification runs, and its assignments must match.
-  ThreadPool::set_default_thread_count(0);
-  std::vector<SubStageTiming> substages;
-  bool sparse_matches_dense = false;
-  stats::IterationStats sparse_stats;
-  {
-    std::vector<std::string> corpus;
-    corpus.reserve(parallel_db.tickets().size());
-    for (const auto& t : parallel_db.tickets()) corpus.push_back(t.description);
-    text::VectorizerOptions vec_options;
-    vec_options.min_document_frequency = 3;
-    const auto vectorizer = text::Vectorizer::fit(corpus, vec_options);
-    t0 = Clock::now();
-    const auto dense_features = vectorizer.transform_all(corpus);
-    const double vectorize_dense = ms_since(t0);
-    t0 = Clock::now();
-    const auto sparse_features = vectorizer.transform_all_sparse(corpus);
-    const double vectorize_sparse = ms_since(t0);
-    substages.push_back({"vectorize", vectorize_dense, vectorize_sparse});
-
-    stats::KMeansOptions km;
-    km.k = 24;
-    km.restarts = 3;
-    km.anchors.push_back(dense_features.front());
-    Rng dense_rng(13);
-    t0 = Clock::now();
-    const auto dense_run = stats::kmeans(dense_features, km, dense_rng);
-    const double kmeans_dense = ms_since(t0);
-    Rng sparse_rng(13);
-    t0 = Clock::now();
-    const auto sparse_run = stats::kmeans(sparse_features, km, sparse_rng);
-    const double kmeans_sparse = ms_since(t0);
-    substages.push_back({"kmeans", kmeans_dense, kmeans_sparse});
-    sparse_matches_dense = dense_run.assignment == sparse_run.assignment;
-    sparse_stats = sparse_run.stats;
-  }
-
-  // Thread-scaling sweep: the two stages at 1/2/4/8 threads, with a
-  // least-squares Amdahl fit (stats::amdahl_serial_fraction) per stage.
-  // Oversubscribing a small host is intentional — the curve flattening out
-  // past the core count is exactly what the serial-fraction fit reports.
-  std::vector<ScalingStage> scaling = {{"simulate"}, {"classify"}};
-  for (std::size_t ti = 0; ti < kScalingThreads.size(); ++ti) {
-    ThreadPool::set_default_thread_count(
-        static_cast<std::size_t>(kScalingThreads[ti]));
-    t0 = Clock::now();
-    const auto db = sim::simulate(config);
-    scaling[0].ms[ti] = ms_since(t0);
-    t0 = Clock::now();
-    const analysis::AnalysisPipeline pipeline(db);
-    scaling[1].ms[ti] = ms_since(t0);
-  }
-  ThreadPool::set_default_thread_count(0);
-  for (ScalingStage& s : scaling) {
-    s.serial_fraction = stats::amdahl_serial_fraction(
-        kScalingThreads, std::span<const double>(s.ms));
-  }
-
-  // SIMD kernels: scalar reference vs the dispatched vector path.
+int run_simd_table(const std::string& json_path) {
   const std::size_t simd_elements = std::size_t{1} << 14;
   const auto simd_kernels = run_simd_report(simd_elements, 2000);
-
-  // Trace IO: save/load the same database as CSV and as the chunked
-  // columnar format, cross-checking record identity and that the
-  // out-of-core chunk summary matches the in-memory one.
-  namespace fs = std::filesystem;
-  const fs::path io_dir = "bench_io_tmp";
-  const fs::path csv_dir = io_dir / "csv";
-  const fs::path fac_path = io_dir / "trace.fac";
-  fs::remove_all(io_dir);
-  fs::create_directories(csv_dir);
-  t0 = Clock::now();
-  trace::save_database(parallel_db, csv_dir.string());
-  const double csv_save = ms_since(t0);
-  std::uint64_t csv_bytes = 0;
-  for (const auto& entry : fs::directory_iterator(csv_dir)) {
-    csv_bytes += entry.file_size();
-  }
-  t0 = Clock::now();
-  const auto csv_loaded = trace::load_database(csv_dir.string());
-  const double csv_load = ms_since(t0);
-  t0 = Clock::now();
-  trace::save_columnar(parallel_db, fac_path.string());
-  const double col_save = ms_since(t0);
-  const std::uint64_t col_bytes = fs::file_size(fac_path);
-  t0 = Clock::now();
-  const auto col_loaded = trace::load_columnar(fac_path.string());
-  const double col_load = ms_since(t0);
-  const std::uint64_t reference_checksum = trace_checksum(parallel_db);
-  const bool io_identical =
-      trace_checksum(csv_loaded) == reference_checksum &&
-      trace_checksum(col_loaded) == reference_checksum;
-  const bool out_of_core_matches =
-      analysis::summarize_columnar(fac_path.string()) ==
-      analysis::summarize_database(parallel_db);
-  const double load_speedup = col_load > 0.0 ? csv_load / col_load : 0.0;
-  fs::remove_all(io_dir);
-
-  // Online detection scored against simulator ground truth: replay a
-  // hazard-shifted event stream (rate x4 from stream day 180) through the
-  // streaming detector and score the alerts event-level. The fleet is
-  // pinned to the calibrated scale-0.5/seed-1 scenario rather than
-  // inheriting --scale: below ~0.25 the sparse strata miss the detector's
-  // arming floor and the scores stop being about detection quality. The
-  // timing measures the full path (simulate -> emit -> detect -> score);
-  // throughput is stream events per second of that wall time.
-  constexpr double kDetectScale = 0.5;
-  detect::TenantSpec detect_spec;
-  detect_spec.name = "bench";
-  detect_spec.config = sim::SimulationConfig::paper_defaults().scaled(kDetectScale);
-  detect_spec.config.seed = 1;
-  const TimePoint detect_shift_at = ticket_window().begin + from_days(180.0);
-  detect_spec.scenario.shifts.push_back({detect_shift_at, 4.0});
-  t0 = Clock::now();
-  const detect::TenantResult detect_result = detect::serve_tenant(detect_spec);
-  const double detect_ms = ms_since(t0);
-  const double detect_events_per_sec =
-      detect_ms > 0.0 ? 1000.0 * static_cast<double>(detect_result.report.events) /
-                            detect_ms
-                      : 0.0;
-  const bool detect_ok = detect_result.report.events > 0;
 
   FILE* out = std::fopen(json_path.c_str(), "w");
   if (!out) {
@@ -347,70 +129,6 @@ int run_stage_report(double scale, const std::string& json_path) {
     return 1;
   }
   std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"scale\": %.2f,\n", scale);
-  std::fprintf(out, "  \"hardware_concurrency\": %zu,\n", hw);
-  std::fprintf(out, "  \"single_core_warning\": %s,\n",
-               single_core ? "true" : "false");
-  std::fprintf(out, "  \"parallel_identical_to_serial\": %s,\n",
-               identical ? "true" : "false");
-  std::fprintf(out, "  \"stages\": [\n");
-  for (std::size_t i = 0; i < stages.size(); ++i) {
-    const StageTiming& s = stages[i];
-    const double speedup =
-        s.parallel_ms > 0.0 ? s.serial_ms / s.parallel_ms : 0.0;
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"serial_ms\": %.3f, "
-                 "\"parallel_ms\": %.3f, \"speedup\": %.3f}%s\n",
-                 s.name.c_str(), s.serial_ms, s.parallel_ms, speedup,
-                 i + 1 < stages.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"classify_substages\": [\n");
-  for (std::size_t i = 0; i < substages.size(); ++i) {
-    const SubStageTiming& s = substages[i];
-    const double speedup = s.sparse_ms > 0.0 ? s.dense_ms / s.sparse_ms : 0.0;
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"dense_ms\": %.3f, "
-                 "\"sparse_ms\": %.3f, \"speedup\": %.3f}%s\n",
-                 s.name.c_str(), s.dense_ms, s.sparse_ms, speedup,
-                 i + 1 < substages.size() ? "," : "");
-  }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"kmeans_prune\": {\n");
-  std::fprintf(out, "    \"distances_computed\": %llu,\n",
-               static_cast<unsigned long long>(sparse_stats.distances_computed));
-  std::fprintf(out, "    \"distances_pruned\": %llu,\n",
-               static_cast<unsigned long long>(sparse_stats.distances_pruned));
-  std::fprintf(out, "    \"prune_ratio\": %.4f,\n", sparse_stats.prune_ratio());
-  std::fprintf(out, "    \"iterations\": %d\n",
-               sparse_stats.total_iterations());
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"sparse_matches_dense\": %s,\n",
-               sparse_matches_dense ? "true" : "false");
-  std::fprintf(out, "  \"thread_scaling\": {\n");
-  std::fprintf(out, "    \"threads\": [");
-  for (std::size_t i = 0; i < kScalingThreads.size(); ++i) {
-    std::fprintf(out, "%d%s", kScalingThreads[i],
-                 i + 1 < kScalingThreads.size() ? ", " : "");
-  }
-  std::fprintf(out, "],\n");
-  std::fprintf(out, "    \"stages\": [\n");
-  for (std::size_t i = 0; i < scaling.size(); ++i) {
-    const ScalingStage& s = scaling[i];
-    std::fprintf(out, "      {\"name\": \"%s\", \"ms\": [", s.name.c_str());
-    for (std::size_t t = 0; t < s.ms.size(); ++t) {
-      std::fprintf(out, "%.3f%s", s.ms[t], t + 1 < s.ms.size() ? ", " : "");
-    }
-    std::fprintf(out, "], \"speedup\": [");
-    for (std::size_t t = 0; t < s.ms.size(); ++t) {
-      std::fprintf(out, "%.3f%s", s.ms[t] > 0.0 ? s.ms[0] / s.ms[t] : 0.0,
-                   t + 1 < s.ms.size() ? ", " : "");
-    }
-    std::fprintf(out, "], \"serial_fraction\": %.4f}%s\n", s.serial_fraction,
-                 i + 1 < scaling.size() ? "," : "");
-  }
-  std::fprintf(out, "    ]\n");
-  std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"simd\": {\n");
   std::fprintf(out, "    \"dispatch\": \"%.*s\",\n",
                static_cast<int>(stats::simd::dispatch_name().size()),
@@ -426,73 +144,10 @@ int run_stage_report(double scale, const std::string& json_path) {
                  i + 1 < simd_kernels.size() ? "," : "");
   }
   std::fprintf(out, "    ]\n");
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"io\": {\n");
-  std::fprintf(out, "    \"csv_bytes\": %llu,\n",
-               static_cast<unsigned long long>(csv_bytes));
-  std::fprintf(out, "    \"columnar_bytes\": %llu,\n",
-               static_cast<unsigned long long>(col_bytes));
-  std::fprintf(out, "    \"csv_save_ms\": %.3f,\n", csv_save);
-  std::fprintf(out, "    \"columnar_save_ms\": %.3f,\n", col_save);
-  std::fprintf(out, "    \"csv_load_ms\": %.3f,\n", csv_load);
-  std::fprintf(out, "    \"columnar_load_ms\": %.3f,\n", col_load);
-  std::fprintf(out, "    \"load_speedup\": %.2f,\n", load_speedup);
-  std::fprintf(out, "    \"roundtrip_identical\": %s,\n",
-               io_identical ? "true" : "false");
-  std::fprintf(out, "    \"out_of_core_matches\": %s\n",
-               out_of_core_matches ? "true" : "false");
-  std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"detect\": {\n");
-  std::fprintf(out, "    \"scale\": %.2f,\n", kDetectScale);
-  // Guards for tools/bench_compare.py: the detect block is also extracted
-  // standalone (BENCH_detect.json), so it must carry its own comparability
-  // context rather than relying on the top-level fields.
-  std::fprintf(out, "    \"hardware_concurrency\": %zu,\n", hw);
-  std::fprintf(out, "    \"single_core_warning\": %s,\n",
-               single_core ? "true" : "false");
-  std::fprintf(out, "    \"shift_day\": 180,\n");
-  std::fprintf(out, "    \"shift_factor\": 4.0,\n");
-  std::fprintf(out, "    \"events\": %llu,\n",
-               static_cast<unsigned long long>(detect_result.report.events));
-  std::fprintf(out, "    \"crash_tickets\": %llu,\n",
-               static_cast<unsigned long long>(
-                   detect_result.report.crash_tickets));
-  std::fprintf(out, "    \"alerts\": %zu,\n",
-               detect_result.report.alerts.size());
-  std::fprintf(out, "    \"precision\": %.4f,\n",
-               detect_result.score.precision());
-  std::fprintf(out, "    \"recall\": %.4f,\n", detect_result.score.recall());
-  std::fprintf(out, "    \"median_latency_days\": %.2f,\n",
-               to_days(detect_result.score.median_latency()));
-  std::fprintf(out, "    \"pipeline_ms\": %.3f,\n", detect_ms);
-  std::fprintf(out, "    \"events_per_sec\": %.0f\n", detect_events_per_sec);
   std::fprintf(out, "  }\n");
   std::fprintf(out, "}\n");
   std::fclose(out);
 
-  std::printf("simulate: serial %.1f ms, parallel %.1f ms (identical: %s)\n",
-              simulate_serial, simulate_parallel, identical ? "yes" : "NO");
-  std::printf("classify: serial %.1f ms, parallel %.1f ms\n", classify_serial,
-              classify_parallel);
-  for (const SubStageTiming& s : substages) {
-    std::printf("  %-9s dense %.1f ms, sparse %.1f ms (%.1fx)\n",
-                s.name.c_str(), s.dense_ms, s.sparse_ms,
-                s.sparse_ms > 0.0 ? s.dense_ms / s.sparse_ms : 0.0);
-  }
-  std::printf("  sparse assignments match dense: %s\n",
-              sparse_matches_dense ? "yes" : "NO");
-  std::printf(
-      "  kmeans prune ratio: %.1f%% (%llu of %llu distance evals skipped)\n",
-      100.0 * sparse_stats.prune_ratio(),
-      static_cast<unsigned long long>(sparse_stats.distances_pruned),
-      static_cast<unsigned long long>(sparse_stats.distances_attempted()));
-  for (const ScalingStage& s : scaling) {
-    std::printf(
-        "scaling:  %-9s 1/2/4/8 threads: %.1f / %.1f / %.1f / %.1f ms "
-        "(serial fraction %.2f)\n",
-        s.name.c_str(), s.ms[0], s.ms[1], s.ms[2], s.ms[3],
-        s.serial_fraction);
-  }
   std::printf("simd:     dispatch %.*s\n",
               static_cast<int>(stats::simd::dispatch_name().size()),
               stats::simd::dispatch_name().data());
@@ -500,28 +155,8 @@ int run_stage_report(double scale, const std::string& json_path) {
     std::printf("  %-17s scalar %.1f ms, simd %.1f ms (%.1fx)\n",
                 k.name.c_str(), k.scalar_ms, k.simd_ms, k.speedup());
   }
-  std::printf(
-      "io:       save csv %.1f ms / columnar %.1f ms, load csv %.1f ms / "
-      "columnar %.1f ms (%.1fx)\n",
-      csv_save, col_save, csv_load, col_load, load_speedup);
-  std::printf("          %llu B csv vs %llu B columnar; identical: %s, "
-              "out-of-core matches: %s\n",
-              static_cast<unsigned long long>(csv_bytes),
-              static_cast<unsigned long long>(col_bytes),
-              io_identical ? "yes" : "NO",
-              out_of_core_matches ? "yes" : "NO");
-  std::printf(
-      "detect:   %llu events in %.1f ms (%.0f events/s), %zu alerts, "
-      "precision %.2f, recall %.2f, median latency %.1f d\n",
-      static_cast<unsigned long long>(detect_result.report.events), detect_ms,
-      detect_events_per_sec, detect_result.report.alerts.size(),
-      detect_result.score.precision(), detect_result.score.recall(),
-      to_days(detect_result.score.median_latency()));
   std::printf("wrote %s\n", json_path.c_str());
-  return identical && sparse_matches_dense && io_identical &&
-                 out_of_core_matches && detect_ok
-             ? 0
-             : 1;
+  return 0;
 }
 
 // Peak resident set in kilobytes (Linux ru_maxrss unit).
@@ -533,8 +168,9 @@ long peak_rss_kb() {
 
 // The out-of-core path end to end: stream the simulator into a columnar
 // file (no database is ever materialized), then summarize it
-// chunk-at-a-time. Peak RSS stays bounded by chunk size, so `scale` may
-// exceed the paper fleet by an order of magnitude.
+// chunk-at-a-time. The peak RSS after each phase is recorded because it is
+// not bounded by the chunk size: the summary's grows with the fleet
+// (docs/PERF.md, "Columnar trace I/O").
 int run_stream_report(double scale, const std::string& json_path) {
   namespace fs = std::filesystem;
   const auto config = sim::SimulationConfig::paper_defaults().scaled(scale);
@@ -653,7 +289,7 @@ void BM_KMeansTfIdf(benchmark::State& state) {
     if (t.is_crash) docs.push_back(t.description + " " + t.resolution);
   }
   const auto vectorizer = text::Vectorizer::fit(docs, {});
-  const auto features = vectorizer.transform_all(docs);
+  const auto features = vectorizer.transform_all_sparse(docs);
   stats::KMeansOptions options;
   options.k = 12;
   options.restarts = 2;
@@ -708,10 +344,8 @@ BENCHMARK(BM_RecurrenceAnalysis);
 
 int main(int argc, char** argv) {
   bool micro = false;
-  double scale = 0.3;
   double stream_scale = 0.0;
   std::string json_path;
-  std::string metrics_path, trace_path;
   std::vector<char*> passthrough = {argv[0]};
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -719,37 +353,31 @@ int main(int argc, char** argv) {
       micro = true;
     } else if (arg == "--json" && i + 1 < argc) {
       json_path = argv[++i];
-    } else if (arg == "--stream" && i + 1 < argc) {
-      stream_scale = std::atof(argv[++i]);
-    } else if (arg == "--scale" && i + 1 < argc) {
-      scale = std::atof(argv[++i]);
-    } else if (arg == "--metrics" && i + 1 < argc) {
-      metrics_path = argv[++i];
-    } else if (arg.rfind("--metrics=", 0) == 0) {
-      metrics_path = arg.substr(10);
-    } else if (arg == "--trace-out" && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_path = arg.substr(12);
-    } else if (arg == "--no-obs") {
-      fa::obs::set_enabled(false);
+    } else if (arg == "--stream") {
+      const std::string value = i + 1 < argc ? argv[++i] : "";
+      stream_scale = 0.0;
+      try {
+        stream_scale = parse_finite_double(value);
+      } catch (const Error&) {
+      }
+      if (!(stream_scale > 0.0)) {
+        std::fprintf(stderr,
+                     "invalid --stream value '%s' (expected a positive "
+                     "finite number)\n",
+                     value.c_str());
+        return 2;
+      }
     } else {
       passthrough.push_back(argv[i]);
     }
   }
   if (stream_scale > 0.0) {
-    if (json_path.empty()) json_path = "BENCH_stream.json";
-    const int rc = run_stream_report(stream_scale, json_path);
-    if (!fa::obs::export_registry_files(metrics_path, trace_path)) return 1;
-    return rc;
+    return run_stream_report(stream_scale,
+                             json_path.empty() ? "BENCH_stream.json"
+                                               : json_path);
   }
   if (!micro) {
-    if (json_path.empty()) json_path = "BENCH_perf.json";
-    const int rc = run_stage_report(scale, json_path);
-    if (!fa::obs::export_registry_files(metrics_path, trace_path)) return 1;
-    if (!metrics_path.empty()) std::printf("wrote %s\n", metrics_path.c_str());
-    if (!trace_path.empty()) std::printf("wrote %s\n", trace_path.c_str());
-    return rc;
+    return run_simd_table(json_path.empty() ? "BENCH_perf.json" : json_path);
   }
   int bench_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&bench_argc, passthrough.data());

@@ -1,7 +1,6 @@
 #include "src/analysis/classification.h"
 
 #include <algorithm>
-#include <set>
 #include <string>
 
 #include "src/obs/metrics.h"
@@ -48,130 +47,6 @@ std::vector<const trace::Ticket*> extract_crash_tickets(
   return out;
 }
 
-CrashExtractionResult extract_crash_tickets_clustered(
-    const trace::TraceDatabase& db, Rng& rng) {
-  obs::Span span("analysis.extract_crash_tickets_clustered");
-  require(!db.tickets().empty(),
-          "extract_crash_tickets_clustered: empty ticket database");
-  // Features over descriptions only: resolutions of non-crash tickets reuse
-  // the vague resolution pool and would blur the cluster boundary.
-  std::vector<std::string> corpus;
-  corpus.reserve(db.tickets().size());
-  for (const trace::Ticket& t : db.tickets()) corpus.push_back(t.description);
-  text::VectorizerOptions vec_options;
-  vec_options.min_document_frequency = 3;
-  const auto vectorizer = text::Vectorizer::fit(corpus, vec_options);
-  // Sparse path end to end: CSR features (no dense intermediate) and the
-  // bound-pruned sparse k-means overload. The dense path remains as the
-  // reference implementation; tests/test_sparse_features.cpp pins that both
-  // produce identical assignments, labels and accuracy.
-  const auto features = vectorizer.transform_all_sparse(corpus);
-
-  // Distinctive symptom vocabulary: words of the symptom phrases that are
-  // not generic datacenter jargon ("server", "host", "monitoring" appear in
-  // background tickets too and must not count).
-  std::set<std::string> symptom_words;
-  for (std::string_view phrase : text::crash_symptoms()) {
-    for (auto& word : fa::tokenize_words(phrase)) {
-      symptom_words.insert(std::move(word));
-    }
-  }
-  for (std::string_view generic : text::generic_words()) {
-    symptom_words.erase(std::string(generic));
-  }
-  std::vector<bool> symptom_dim(vectorizer.vocabulary().size(), false);
-  for (std::size_t d = 0; d < vectorizer.vocabulary().size(); ++d) {
-    symptom_dim[d] = symptom_words.contains(vectorizer.vocabulary()[d]);
-  }
-
-  // Crash tickets are a small minority (~2% of all tickets, Table II), so a
-  // two-way split would divide the dominant background mass instead. Use a
-  // generous cluster budget and label each cluster by how strongly its
-  // centroid loads on unresponsive/unreachable symptom words. Random
-  // k-means++ seeding routinely misses a 2% mode entirely (and inertia does
-  // not reward finding it), so one centroid is anchored at the document with
-  // the highest symptom share. Anchoring at a real document (not a mean of
-  // documents) matters: a mean over diverse documents has a small norm,
-  // which makes it spuriously close to everything and lets it absorb
-  // background tickets during Lloyd iterations.
-  std::size_t anchor_doc = 0;
-  double anchor_share = 0.0;
-  for (std::size_t i = 0; i < features.rows(); ++i) {
-    double symptom = 0.0, total = 0.0;
-    const auto row = features.row(i);
-    for (std::size_t e = 0; e < row.size(); ++e) {
-      total += row.values[e];
-      if (symptom_dim[row.indices[e]]) symptom += row.values[e];
-    }
-    const double share = total > 0.0 ? symptom / total : 0.0;
-    if (share > anchor_share) {
-      anchor_share = share;
-      anchor_doc = i;
-    }
-  }
-  stats::KMeansOptions km;
-  km.k = 24;
-  km.restarts = 3;
-  if (anchor_share > 0.0) km.anchors.push_back(features.row_dense(anchor_doc));
-  const auto clustering = stats::kmeans(features, km, rng);
-
-  // Symptom share of each centroid's total mass. The share (rather than the
-  // absolute symptom mass) is what separates crash clusters from a large
-  // background cluster that absorbed a few stray crash tickets: the latter
-  // carries symptom words, but they are a sliver of its mass.
-  std::vector<double> symptom_mass(static_cast<std::size_t>(km.k), 0.0);
-  std::vector<double> total_mass(static_cast<std::size_t>(km.k), 0.0);
-  for (std::size_t d = 0; d < vectorizer.vocabulary().size(); ++d) {
-    const bool symptom = symptom_dim[d];
-    for (int c = 0; c < km.k; ++c) {
-      const double w = clustering.centroids[static_cast<std::size_t>(c)][d];
-      total_mass[static_cast<std::size_t>(c)] += w;
-      if (symptom) symptom_mass[static_cast<std::size_t>(c)] += w;
-    }
-  }
-  std::vector<double> symptom_share(static_cast<std::size_t>(km.k), 0.0);
-  for (int c = 0; c < km.k; ++c) {
-    const auto i = static_cast<std::size_t>(c);
-    if (total_mass[i] > 0.0) symptom_share[i] = symptom_mass[i] / total_mass[i];
-  }
-  const double max_share =
-      *std::max_element(symptom_share.begin(), symptom_share.end());
-  require(max_share > 0.0,
-          "extract_crash_tickets_clustered: no symptom vocabulary found");
-  // Precision-focused flagging: only clusters dominated by symptom share
-  // count as crash clusters.
-  std::vector<bool> crash_cluster(static_cast<std::size_t>(km.k), false);
-  for (int c = 0; c < km.k; ++c) {
-    crash_cluster[static_cast<std::size_t>(c)] =
-        symptom_share[static_cast<std::size_t>(c)] > 0.5 * max_share;
-  }
-
-  CrashExtractionResult result;
-  std::size_t correct = 0, true_crashes = 0, flagged_true = 0;
-  for (std::size_t i = 0; i < db.tickets().size(); ++i) {
-    const bool predicted_crash =
-        crash_cluster[static_cast<std::size_t>(clustering.assignment[i])];
-    const bool is_crash = db.tickets()[i].is_crash;
-    true_crashes += is_crash;
-    if (predicted_crash) {
-      result.crash_tickets.push_back(&db.tickets()[i]);
-      flagged_true += is_crash;
-    }
-    correct += predicted_crash == is_crash;
-  }
-  result.accuracy =
-      static_cast<double>(correct) / static_cast<double>(db.tickets().size());
-  if (!result.crash_tickets.empty()) {
-    result.precision = static_cast<double>(flagged_true) /
-                       static_cast<double>(result.crash_tickets.size());
-  }
-  if (true_crashes > 0) {
-    result.recall =
-        static_cast<double>(flagged_true) / static_cast<double>(true_crashes);
-  }
-  return result;
-}
-
 ClassificationResult classify_tickets(
     std::span<const trace::Ticket* const> tickets,
     const ClassifierOptions& options, Rng& rng) {
@@ -190,7 +65,8 @@ ClassificationResult classify_tickets(
   vec_options.min_document_frequency = options.min_document_frequency;
   obs::Span vectorize_span("analysis.vectorize");
   const auto vectorizer = text::Vectorizer::fit(corpus, vec_options);
-  // CSR features + sparse k-means (see extract_crash_tickets_clustered).
+  // CSR features and the bound-pruned sparse k-means; no dense
+  // intermediate is ever built.
   const auto features = vectorizer.transform_all_sparse(corpus);
   vectorize_span.close();
   obs::counter("fa.analysis.vectorized_documents").add(corpus.size());

@@ -25,24 +25,6 @@ namespace fa::analysis {
 std::vector<const trace::Ticket*> extract_crash_tickets(
     const trace::TraceDatabase& db);
 
-// Alternative crash identification closer to the paper's step 1: k-means
-// over the description text of *all* problem tickets, flagging clusters
-// whose centroid loads on the unresponsive/unreachable symptom vocabulary.
-// Purely unsupervised extraction is precision-focused but recall-limited —
-// crash tickets scattered into background-dominated clusters are missed,
-// which is exactly why the paper pairs clustering with manual labeling
-// ("in a best-effort manner", 87% accuracy after manual checking). Metrics
-// are evaluated against the is_crash ground truth.
-struct CrashExtractionResult {
-  std::vector<const trace::Ticket*> crash_tickets;
-  double accuracy = 0.0;   // fraction of all tickets correctly sided
-  double precision = 0.0;  // true crashes among flagged tickets
-  double recall = 0.0;     // flagged among true crashes
-};
-
-CrashExtractionResult extract_crash_tickets_clustered(
-    const trace::TraceDatabase& db, Rng& rng);
-
 struct ClassifierOptions {
   // Clusters are over-provisioned relative to the six classes and mapped to
   // classes by majority vote: with "other" holding ~53% of the mass, k = 6

@@ -4,7 +4,7 @@
 // a columnar file chunk by chunk, keeping O(one chunk + one byte per
 // server) of state, so Table II-class populations and Fig. 2-class failure
 // rates compute on fleets far larger than RAM. Results are checked against
-// the in-memory counterpart in tests and bench/perf_toolkit.
+// the in-memory counterpart by ColumnarIoTest.OutOfCoreSummaryMatchesInMemory.
 #pragma once
 
 #include <array>

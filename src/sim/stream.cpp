@@ -223,7 +223,11 @@ void emit_stream(const trace::TraceDatabase& db,
       ticket_event.ticket = t;
       ticket_event.ticket.opened = k.at;
       ticket_event.ticket.closed = k.at + t.repair_time();
-      ticket_event.machine_type = db.server(t.server).type;
+      // A background ticket may have no server; the detector ignores
+      // non-crash tickets, so the default machine type stands in.
+      ticket_event.machine_type = t.server.valid()
+                                      ? db.server(t.server).type
+                                      : trace::StreamEvent{}.machine_type;
       sink.on_event(ticket_event);
     } else {
       const trace::WeeklyUsage& u = *usage[ui++];

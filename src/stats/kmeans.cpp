@@ -17,125 +17,10 @@ double squared_distance(const std::vector<double>& a,
   return simd::squared_distance(a, b);
 }
 
-std::vector<std::vector<double>> seed_plus_plus(
-    std::span<const std::vector<double>> points, const KMeansOptions& options,
-    Rng& rng) {
-  const int k = options.k;
-  std::vector<std::vector<double>> centroids;
-  centroids.reserve(static_cast<std::size_t>(k));
-  const auto n = static_cast<std::int64_t>(points.size());
-  std::vector<double> d2(points.size(),
-                         std::numeric_limits<double>::infinity());
-  if (options.anchors.empty()) {
-    centroids.push_back(
-        points[static_cast<std::size_t>(rng.uniform_int(0, n - 1))]);
-  } else {
-    // Anchors first; k-means++ continues conditioned on them.
-    for (const auto& anchor : options.anchors) {
-      if (static_cast<int>(centroids.size()) >= k) break;
-      centroids.push_back(anchor);
-    }
-    // Anchors filling all k centroids leave nothing for k-means++ to draw:
-    // the O(n * |anchors|) d2 pass below would be dead work.
-    if (static_cast<int>(centroids.size()) >= k) return centroids;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      for (const auto& c : centroids) {
-        d2[i] = std::min(d2[i], squared_distance(points[i], c));
-      }
-    }
-  }
-  while (static_cast<int>(centroids.size()) < k) {
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      d2[i] = std::min(d2[i], squared_distance(points[i], centroids.back()));
-    }
-    double total = 0.0;
-    for (double d : d2) total += d;
-    if (total <= 0.0) {
-      // All remaining points coincide with chosen centroids; duplicate one.
-      centroids.push_back(centroids.back());
-      continue;
-    }
-    double r = rng.uniform() * total;
-    std::size_t chosen = points.size() - 1;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      r -= d2[i];
-      if (r < 0.0) {
-        chosen = i;
-        break;
-      }
-    }
-    centroids.push_back(points[chosen]);
-  }
-  return centroids;
-}
-
-KMeansResult run_once(std::span<const std::vector<double>> points,
-                      const KMeansOptions& options, Rng& rng) {
-  const std::size_t dim = points.front().size();
-  KMeansResult result;
-  result.centroids = seed_plus_plus(points, options, rng);
-  result.assignment.assign(points.size(), -1);
-
-  double prev_inertia = std::numeric_limits<double>::infinity();
-  for (int iter = 1; iter <= options.max_iterations; ++iter) {
-    result.iterations = iter;
-    // Assignment step.
-    double inertia = 0.0;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      double best = std::numeric_limits<double>::infinity();
-      int best_c = 0;
-      for (int c = 0; c < options.k; ++c) {
-        const double d =
-            squared_distance(points[i], result.centroids[static_cast<std::size_t>(c)]);
-        if (d < best) {
-          best = d;
-          best_c = c;
-        }
-      }
-      result.assignment[i] = best_c;
-      inertia += best;
-    }
-    result.stats.distances_computed +=
-        static_cast<std::uint64_t>(points.size()) *
-        static_cast<std::uint64_t>(options.k);
-    result.inertia = inertia;
-    // Update step.
-    std::vector<std::vector<double>> sums(
-        static_cast<std::size_t>(options.k), std::vector<double>(dim, 0.0));
-    std::vector<std::size_t> counts(static_cast<std::size_t>(options.k), 0);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const auto c = static_cast<std::size_t>(result.assignment[i]);
-      ++counts[c];
-      for (std::size_t d = 0; d < dim; ++d) sums[c][d] += points[i][d];
-    }
-    for (std::size_t c = 0; c < sums.size(); ++c) {
-      if (counts[c] == 0) {
-        // Re-seed an empty cluster at a random point.
-        result.centroids[c] = points[static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(points.size()) - 1))];
-        continue;
-      }
-      for (std::size_t d = 0; d < dim; ++d) {
-        result.centroids[c][d] = sums[c][d] / static_cast<double>(counts[c]);
-      }
-    }
-    // iter 1 has no previous inertia to compare against (inf - x <= tol*inf
-    // holds, which would declare convergence after a single Lloyd step).
-    if (iter > 1 && prev_inertia - inertia <=
-                        options.tolerance * std::max(prev_inertia, 1e-300)) {
-      result.converged = true;
-      break;
-    }
-    prev_inertia = inertia;
-  }
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Sparse fast path. Distances use ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2
-// over each row's nonzeros; the assignment step keeps Hamerly-style bounds
-// and runs over chunks whose boundaries depend only on n, with a serial
-// in-order reduction, so results are bit-identical at any thread count.
+// Distances use ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 over each row's
+// nonzeros; the assignment step keeps Hamerly-style bounds and runs over
+// chunks whose boundaries depend only on n, with a serial in-order
+// reduction, so results are bit-identical at any thread count.
 
 double dense_dot(const std::vector<double>& a, const std::vector<double>& b) {
   return simd::dot(a, b);
@@ -162,7 +47,7 @@ void parallel_chunks(std::size_t n,
   });
 }
 
-std::vector<std::vector<double>> seed_plus_plus_sparse(
+std::vector<std::vector<double>> seed_plus_plus(
     const SparseMatrix& points, const KMeansOptions& options, Rng& rng) {
   const int k = options.k;
   std::vector<std::vector<double>> centroids;
@@ -182,8 +67,8 @@ std::vector<std::vector<double>> seed_plus_plus_sparse(
     centroids.push_back(
         points.row_dense(static_cast<std::size_t>(rng.uniform_int(0, n - 1))));
   } else {
-    // Anchors first; k-means++ continues conditioned on them. As in the
-    // dense path, anchors filling all k centroids skip the d2 pass.
+    // Anchors first; k-means++ continues conditioned on them. Anchors
+    // filling all k centroids leave nothing to draw: skip the d2 pass.
     for (const auto& anchor : options.anchors) {
       if (static_cast<int>(centroids.size()) >= k) break;
       centroids.push_back(anchor);
@@ -214,13 +99,13 @@ std::vector<std::vector<double>> seed_plus_plus_sparse(
   return centroids;
 }
 
-KMeansResult run_once_sparse(const SparseMatrix& points,
-                             const KMeansOptions& options, Rng& rng) {
+KMeansResult run_once(const SparseMatrix& points, const KMeansOptions& options,
+                      Rng& rng) {
   const std::size_t n = points.rows();
   const std::size_t dim = points.cols();
   const auto k = static_cast<std::size_t>(options.k);
   KMeansResult result;
-  result.centroids = seed_plus_plus_sparse(points, options, rng);
+  result.centroids = seed_plus_plus(points, options, rng);
   result.assignment.assign(n, -1);
 
   // Hamerly state, on Euclidean (not squared) distances. upper[i] is made
@@ -388,24 +273,35 @@ void record_kmeans_metrics(const IterationStats& stats) {
   pruned.add(stats.distances_pruned);
 }
 
-// Runs options.restarts independent restarts of `run_once(rng)` and keeps
-// the best. The restart RNGs are forked serially up front, so the caller's
-// generator advances the same way at any thread count; the restarts then
-// fan out over the pool, and the winner is picked by (inertia, restart
-// index), which makes the result independent of completion order. A
-// restart may itself call parallel_for (the sparse assignment step does):
-// idle workers join those nested loops once the restarts run out.
-template <typename RunOnce>
-KMeansResult best_of_restarts(const KMeansOptions& options, Rng& rng,
-                              const RunOnce& run_once) {
+}  // namespace
+
+KMeansResult kmeans(const SparseMatrix& points, const KMeansOptions& options,
+                    Rng& rng) {
+  require(options.k >= 1, "kmeans: k must be >= 1");
+  require(points.rows() >= static_cast<std::size_t>(options.k),
+          "kmeans: need at least k points");
+  require(options.restarts >= 1, "kmeans: need at least one restart");
+  require(points.cols() >= 1, "kmeans: zero-dimensional points");
+  for (const auto& anchor : options.anchors) {
+    require(anchor.size() == points.cols(),
+            "kmeans: anchor dimensionality mismatch");
+  }
+
+  // The restart RNGs are forked serially up front, so the caller's
+  // generator advances the same way at any thread count; the restarts then
+  // fan out over the pool, and the winner is picked by (inertia, restart
+  // index), which makes the result independent of completion order. Each
+  // restart's assignment step is itself a parallel_for: idle workers join
+  // those nested loops once the restarts run out.
   std::vector<Rng> restart_rngs;
   restart_rngs.reserve(static_cast<std::size_t>(options.restarts));
   for (int r = 0; r < options.restarts; ++r) {
     restart_rngs.push_back(rng.fork(static_cast<std::uint64_t>(r)));
   }
   std::vector<KMeansResult> runs(restart_rngs.size());
-  parallel_for(runs.size(),
-               [&](std::size_t r) { runs[r] = run_once(restart_rngs[r]); });
+  parallel_for(runs.size(), [&](std::size_t r) {
+    runs[r] = run_once(points, options, restart_rngs[r]);
+  });
 
   IterationStats stats;
   stats.iterations_per_restart.reserve(runs.size());
@@ -420,42 +316,6 @@ KMeansResult best_of_restarts(const KMeansOptions& options, Rng& rng,
   result.stats = std::move(stats);
   record_kmeans_metrics(result.stats);
   return result;
-}
-
-}  // namespace
-
-KMeansResult kmeans(std::span<const std::vector<double>> points,
-                    const KMeansOptions& options, Rng& rng) {
-  require(options.k >= 1, "kmeans: k must be >= 1");
-  require(points.size() >= static_cast<std::size_t>(options.k),
-          "kmeans: need at least k points");
-  require(options.restarts >= 1, "kmeans: need at least one restart");
-  const std::size_t dim = points.front().size();
-  require(dim >= 1, "kmeans: zero-dimensional points");
-  for (const auto& p : points) {
-    require(p.size() == dim, "kmeans: inconsistent point dimensionality");
-  }
-
-  return best_of_restarts(options, rng, [&](Rng& restart_rng) {
-    return run_once(points, options, restart_rng);
-  });
-}
-
-KMeansResult kmeans(const SparseMatrix& points, const KMeansOptions& options,
-                    Rng& rng) {
-  require(options.k >= 1, "kmeans: k must be >= 1");
-  require(points.rows() >= static_cast<std::size_t>(options.k),
-          "kmeans: need at least k points");
-  require(options.restarts >= 1, "kmeans: need at least one restart");
-  require(points.cols() >= 1, "kmeans: zero-dimensional points");
-  for (const auto& anchor : options.anchors) {
-    require(anchor.size() == points.cols(),
-            "kmeans: anchor dimensionality mismatch");
-  }
-
-  return best_of_restarts(options, rng, [&](Rng& restart_rng) {
-    return run_once_sparse(points, options, restart_rng);
-  });
 }
 
 }  // namespace fa::stats

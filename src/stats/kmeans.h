@@ -1,12 +1,12 @@
-// Dense k-means (k-means++ seeding, Lloyd iterations).
+// k-means (k-means++ seeding, Lloyd iterations) over a sparse document-term
+// matrix.
 //
 // Section III-A of the paper classifies problem tickets by running k-means on
 // the description and resolution text; this is the clustering engine behind
-// fa::analysis::TicketClassifier.
+// fa::analysis::classify_tickets.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "src/stats/sparse_matrix.h"
@@ -17,28 +17,17 @@ namespace fa::stats {
 // Work accounting across all restarts of one kmeans() call. All fields are
 // deterministic for a fixed input at any thread count: iteration counts and
 // Hamerly-prune decisions depend only on per-point state, never on the
-// schedule (see docs/PERF.md), so the prune ratio is a stable, continuously
-// checkable figure rather than a one-off measurement.
+// schedule (see docs/PERF.md), so the fa.kmeans.* counters they feed are
+// stable, continuously checkable figures rather than one-off measurements.
 struct IterationStats {
   // Lloyd iterations each restart ran (index = restart index).
   std::vector<int> iterations_per_restart;
   // Point-to-centroid distance evaluations performed in the assignment
   // steps of every restart, and evaluations skipped by the Hamerly bound
-  // test (sparse path only; the dense reference path never prunes).
+  // test.
   std::uint64_t distances_computed = 0;
   std::uint64_t distances_pruned = 0;
 
-  // Evaluations a prune-free assignment step would have performed.
-  std::uint64_t distances_attempted() const {
-    return distances_computed + distances_pruned;
-  }
-  double prune_ratio() const {
-    const std::uint64_t attempted = distances_attempted();
-    return attempted == 0
-               ? 0.0
-               : static_cast<double>(distances_pruned) /
-                     static_cast<double>(attempted);
-  }
   int total_iterations() const {
     int total = 0;
     for (int i : iterations_per_restart) total += i;
@@ -63,29 +52,22 @@ struct KMeansOptions {
   // (ties broken by restart index, so the result is schedule-independent).
   int restarts = 4;
   double tolerance = 1e-7;  // relative inertia improvement to keep iterating
-  // Optional deterministic seed centroids (at most k, same dimensionality as
-  // the points). Every restart starts from these; k-means++ draws only the
-  // remaining k - anchors.size() centroids. Used to pin a centroid onto a
-  // known small mode that random seeding would miss (e.g. the ~2% crash
-  // tickets among all problem tickets).
+  // Optional deterministic seed centroids (at most k, dense, with one entry
+  // per column of the points). Every restart starts from these; k-means++
+  // draws only the remaining k - anchors.size() centroids. Pins a centroid
+  // onto a known small mode that random seeding would miss.
   std::vector<std::vector<double>> anchors;
 };
 
-// points: n rows, all with the same dimensionality >= 1. Requires n >= k.
-KMeansResult kmeans(std::span<const std::vector<double>> points,
-                    const KMeansOptions& options, Rng& rng);
-
-// Sparse fast path over a CSR document-term matrix: identical semantics and
-// anchor handling to the dense overload (centroids stay dense, anchors are
-// dense). Point-to-centroid distances use the
+// points: n rows over cols() >= 1 columns. Requires n >= k. Centroids
+// stay dense. Point-to-centroid distances use the
 // ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 expansion over only the row's
 // nonzeros, and the assignment step keeps Hamerly-style upper/lower bounds
 // so points whose nearest centroid cannot have changed skip the full
-// centroid scan. The assignment step is chunk-parallel with chunk
-// boundaries fixed by n alone and a serial in-order reduction, so the
-// result is bit-identical at any thread count (see docs/PERF.md). As in the
-// dense overload, restarts run in parallel; each restart's assignment step
-// is a nested parallel loop inside it.
+// centroid scan. Restarts run in parallel; each restart's assignment step
+// is a nested, chunk-parallel loop with chunk boundaries fixed by n alone
+// and a serial in-order reduction, so the result is bit-identical at any
+// thread count (see docs/PERF.md).
 KMeansResult kmeans(const SparseMatrix& points, const KMeansOptions& options,
                     Rng& rng);
 

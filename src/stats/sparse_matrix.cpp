@@ -42,11 +42,4 @@ std::vector<double> SparseMatrix::row_dense(std::size_t i) const {
   return out;
 }
 
-std::vector<std::vector<double>> SparseMatrix::to_dense() const {
-  std::vector<std::vector<double>> out;
-  out.reserve(rows());
-  for (std::size_t i = 0; i < rows(); ++i) out.push_back(row_dense(i));
-  return out;
-}
-
 }  // namespace fa::stats

@@ -5,7 +5,7 @@
 // appended once (strictly increasing column indices) and the matrix is
 // immutable afterwards, so it is safe to share across threads. The cached
 // row norms feed the ||x - c||^2 = ||x||^2 - 2 x.c + ||c||^2 expansion used
-// by the sparse k-means overload (see kmeans.h).
+// by k-means (see kmeans.h).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +31,6 @@ class SparseMatrix {
 
   std::size_t rows() const { return row_offsets_.size() - 1; }
   std::size_t cols() const { return cols_; }
-  std::size_t nonzeros() const { return values_.size(); }
 
   RowView row(std::size_t i) const;
 
@@ -41,10 +40,9 @@ class SparseMatrix {
   // Row i . y for a dense vector y of cols() entries.
   double dot_dense(std::size_t i, std::span<const double> y) const;
 
-  // Densified copies — for k-means anchors, reseeding and tests; not for
+  // Densified copy of row i, for k-means seeding and reseeding; not for
   // hot loops.
   std::vector<double> row_dense(std::size_t i) const;
-  std::vector<std::vector<double>> to_dense() const;
 
  private:
   std::size_t cols_;

@@ -61,32 +61,6 @@ Vectorizer Vectorizer::fit(std::span<const std::string> documents,
   return v;
 }
 
-std::vector<double> Vectorizer::transform(const std::string& document) const {
-  std::vector<double> vec(vocabulary_.size(), 0.0);
-  for (const std::string& w : fa::tokenize_words(document)) {
-    const auto it = index_.find(w);
-    if (it != index_.end()) vec[it->second] += 1.0;
-  }
-  for (std::size_t i = 0; i < vec.size(); ++i) vec[i] *= idf_[i];
-  if (options_.l2_normalize) {
-    double norm = 0.0;
-    for (double x : vec) norm += x * x;
-    if (norm > 0.0) {
-      norm = std::sqrt(norm);
-      for (double& x : vec) x /= norm;
-    }
-  }
-  return vec;
-}
-
-std::vector<std::vector<double>> Vectorizer::transform_all(
-    std::span<const std::string> documents) const {
-  std::vector<std::vector<double>> out;
-  out.reserve(documents.size());
-  for (const std::string& doc : documents) out.push_back(transform(doc));
-  return out;
-}
-
 std::vector<std::pair<std::uint32_t, double>> Vectorizer::transform_sparse(
     const std::string& document) const {
   std::vector<std::pair<std::uint32_t, double>> entries;
@@ -99,7 +73,7 @@ std::vector<std::pair<std::uint32_t, double>> Vectorizer::transform_sparse(
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   // Merge duplicate indices by summing counts (small integer sums, so the
-  // term frequencies match the dense accumulation exactly).
+  // term frequencies are exact).
   std::size_t out = 0;
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (out > 0 && entries[out - 1].first == entries[i].first) {
@@ -111,9 +85,8 @@ std::vector<std::pair<std::uint32_t, double>> Vectorizer::transform_sparse(
   entries.resize(out);
   for (auto& [index, value] : entries) value *= idf_[index];
   if (options_.l2_normalize) {
-    // Entries are index-sorted, so this accumulation visits the same
-    // nonzeros in the same order as the dense norm loop — the normalized
-    // weights come out bit-identical.
+    // Entries are index-sorted, so the norm accumulates in vocabulary
+    // order (the order a dense loop over every dimension would use).
     double norm = 0.0;
     for (const auto& [index, value] : entries) norm += value * value;
     if (norm > 0.0) {

@@ -22,27 +22,20 @@ struct VectorizerOptions {
   bool l2_normalize = true;
 };
 
-// Learns a vocabulary from a corpus and maps documents to dense TF-IDF
-// vectors. Words unseen at fit() time are ignored at transform() time.
+// Learns a vocabulary from a corpus and maps documents to sparse TF-IDF
+// vectors. Words unseen at fit() time are ignored at transform time.
 class Vectorizer {
  public:
   static Vectorizer fit(std::span<const std::string> documents,
                         const VectorizerOptions& options);
 
-  std::vector<double> transform(const std::string& document) const;
-  std::vector<std::vector<double>> transform_all(
-      std::span<const std::string> documents) const;
-
-  // Sparse counterparts: (vocabulary index, weight) entries sorted by index.
-  // Weights are bit-identical to the nonzeros of transform() — the dense
-  // path is the reference implementation, kept for cross-checking. A
-  // document with no in-vocabulary word yields an empty row.
+  // (vocabulary index, weight) entries sorted by index. A document with no
+  // in-vocabulary word yields an empty row.
   std::vector<std::pair<std::uint32_t, double>> transform_sparse(
       const std::string& document) const;
-  // CSR matrix with one row per document and dimension() columns, built
-  // without a dense intermediate. Documents are transformed in parallel
-  // into per-document slots and committed in corpus order (deterministic at
-  // any thread count).
+  // CSR matrix with one row per document and dimension() columns.
+  // Documents are transformed in parallel into per-document slots and
+  // committed in corpus order (deterministic at any thread count).
   stats::SparseMatrix transform_all_sparse(
       std::span<const std::string> documents) const;
 

@@ -2,9 +2,8 @@
 // (columnar_io.h). One chunk holds up to N rows of one table as per-column
 // blocks: fixed-width numerics stored raw (zero-copy viewable), optional
 // columns behind a presence bitmap, and free-text columns dictionary-coded
-// per chunk. Every integer-like column carries a min/max footer so readers
-// can skip chunks that cannot match a predicate (predicate pushdown,
-// filters.h).
+// per chunk. Every integer-like column carries a min/max footer. No reader
+// skips chunks by these statistics yet; `fa_trace info` prints them.
 //
 // Layout of an encoded chunk (all integers little-endian, blocks 8-aligned):
 //   column block 0 | pad | column block 1 | pad | ...
@@ -71,7 +70,7 @@ struct ColumnSpec {
 // columns (servers.id / tickets.id are their row positions).
 const std::vector<ColumnSpec>& table_schema(Table table);
 
-// Column indexes, so pushdown/aggregation code never hard-codes positions.
+// Column indexes, so decoding/aggregation code never hard-codes positions.
 namespace col {
 enum ServersCol { kServerType = 0, kServerSubsystem, kServerCpuCount,
                   kServerMemoryGb, kServerDiskGb, kServerDiskCount,

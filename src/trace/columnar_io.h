@@ -4,9 +4,7 @@
 // independent chunks (chunk.h), followed by a footer directory that records
 // observation windows, the incident counter, and per-chunk/per-column
 // offsets, checksums and min/max statistics. Readers locate everything from
-// the footer, so chunks stream out in generation order and analysis can
-// skip chunks wholesale via the min/max stats (predicate pushdown,
-// filters.h).
+// the footer, so chunks stream out in generation order.
 //
 // File layout (version 2, little-endian; framing in columnar_format.h):
 //   "FACT" magic | u32 version                        -- 8-byte header
@@ -228,7 +226,7 @@ class ChunkReader {
 
   std::uint64_t row_count(columnar::Table table) const;
   std::size_t chunk_count(columnar::Table table) const;
-  // Footer directory entry (min/max stats for pushdown) — no chunk IO.
+  // Footer directory entry (offsets, checksum, min/max stats) — no chunk IO.
   const columnar::ChunkInfo& chunk_info(columnar::Table table,
                                         std::size_t index) const;
   // Decodes chunk `index` of `table`, verifying its checksum. Throws

@@ -136,8 +136,10 @@ void TraceDatabase::finalize() {
     });
   };
   for (const Ticket& t : tickets_) {
+    // A background ticket may have no server (sanitize clears a dangling
+    // reference and keeps the ticket); a server it does name must exist.
+    if (t.is_crash || t.server.valid()) check_server(t.server, "ticket");
     if (t.is_crash) {
-      check_server(t.server, "ticket");
       require(t.incident.valid(),
               "TraceDatabase::finalize: crash ticket without incident");
     }

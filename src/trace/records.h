@@ -40,7 +40,7 @@ struct ServerRecord {
 struct Ticket {
   TicketId id;
   IncidentId incident;   // tickets of one failure incident share this
-  ServerId server;       // affected machine (valid for crash tickets)
+  ServerId server;       // affected machine (a background ticket may have none)
   Subsystem subsystem = 0;
   bool is_crash = false;  // crash tickets vs background problem tickets
   FailureClass true_class = FailureClass::kOther;

@@ -20,29 +20,6 @@ TEST(Classification, ExtractionRecoversExactlyTheCrashTickets) {
   for (const trace::Ticket* t : extracted) EXPECT_TRUE(t->is_crash);
 }
 
-TEST(Classification, ClusteredExtractionIsPrecisionFocused) {
-  // Unsupervised crash identification over all ticket descriptions: what it
-  // flags must really be crashes (high precision, high overall accuracy).
-  // Recall may be partial — the paper pairs clustering with manual labeling
-  // for exactly this reason — though fully converged k-means reaches 1.0 on
-  // this synthetic corpus; only the precision/accuracy floors are load-bearing.
-  Rng rng(11);
-  const auto result = extract_crash_tickets_clustered(db(), rng);
-  EXPECT_GT(result.accuracy, 0.95);
-  EXPECT_GT(result.precision, 0.80);
-  EXPECT_GT(result.recall, 0.15);
-  EXPECT_LE(result.recall, 1.0);
-  EXPECT_FALSE(result.crash_tickets.empty());
-}
-
-TEST(Classification, ClusteredExtractionDeterministicForSeed) {
-  Rng r1(12), r2(12);
-  const auto a = extract_crash_tickets_clustered(db(), r1);
-  const auto b = extract_crash_tickets_clustered(db(), r2);
-  EXPECT_EQ(a.crash_tickets.size(), b.crash_tickets.size());
-  EXPECT_DOUBLE_EQ(a.accuracy, b.accuracy);
-}
-
 TEST(Classification, AccuracyNearPaperLevel) {
   const auto tickets = extract_crash_tickets(db());
   Rng rng(3);

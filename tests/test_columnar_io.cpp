@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -18,7 +19,6 @@
 #include "src/sim/simulator.h"
 #include "src/trace/chunk.h"
 #include "src/trace/csv_io.h"
-#include "src/trace/filters.h"
 #include "src/trace/sanitize.h"
 #include "src/trace/trace_writer.h"
 #include "src/util/error.h"
@@ -541,63 +541,46 @@ TEST(ChunkDictionary, ManyDistinctValuesKeepFirstAppearanceSlots) {
   EXPECT_EQ(d.indices, indices);
 }
 
-// ---- predicate pushdown (filters.h) ----
+// ---- footer statistics ----
 
-TEST_F(ColumnarIoTest, PushdownScanMatchesInMemoryFilter) {
+// Every integer-like column of every ticket chunk carries the min and max
+// of its decoded values (present values only for optional columns) in the
+// footer; text and floating-point columns carry none.
+TEST_F(ColumnarIoTest, FooterMinMaxMatchesDecodedTicketColumns) {
   const TraceDatabase& db = fa::testing::small_simulated_db();
   save_columnar(db, path("trace.fac"), 256);
   ChunkReader reader(path("trace.fac"));
-
-  const ObservationWindow& w = db.window();
-  const std::vector<TicketFilter> filters = {
-      TicketFilter{},
-      TicketFilter{}.crash_only(),
-      TicketFilter{}.crash_only().subsystem(Subsystem{2}),
-      TicketFilter{}.machine_type(MachineType::kVirtual),
-      TicketFilter{}.opened_between(w.begin, w.begin + w.length() / 4),
-      TicketFilter{}.server(db.servers().front().id),
-      TicketFilter{}.crash_only().repair_at_least(from_hours(4.0)),
-  };
-  for (const TicketFilter& filter : filters) {
-    const std::vector<const Ticket*> expected = filter.apply(db);
-    const std::vector<Ticket> actual = filter.scan_columnar(reader);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t i = 0; i < actual.size(); ++i) {
-      EXPECT_EQ(actual[i].id, expected[i]->id);
-      EXPECT_EQ(actual[i].opened, expected[i]->opened);
-      EXPECT_EQ(actual[i].description, expected[i]->description);
+  const std::size_t chunks = reader.chunk_count(columnar::Table::kTickets);
+  ASSERT_GT(chunks, 1u);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const columnar::ChunkInfo& info =
+        reader.chunk_info(columnar::Table::kTickets, c);
+    const columnar::ChunkView chunk =
+        reader.chunk(columnar::Table::kTickets, c);
+    ASSERT_EQ(info.columns.size(), chunk.column_count());
+    EXPECT_TRUE(info.columns[columnar::col::kTicketOpened].stats.has_minmax);
+    for (std::size_t k = 0; k < chunk.column_count(); ++k) {
+      const columnar::ColumnView& column = chunk.column(k);
+      const columnar::ColumnStats& stats = info.columns[k].stats;
+      const columnar::Encoding e = column.encoding();
+      const bool int_like = e == columnar::Encoding::kInt64 ||
+                            e == columnar::Encoding::kInt32 ||
+                            e == columnar::Encoding::kUInt8 ||
+                            e == columnar::Encoding::kOptInt32;
+      columnar::ColumnStats decoded;
+      for (std::uint32_t r = 0; int_like && r < column.rows(); ++r) {
+        if (!column.present_at(r)) continue;
+        const std::int64_t v = column.int_at(r);
+        decoded.min = decoded.has_minmax ? std::min(decoded.min, v) : v;
+        decoded.max = decoded.has_minmax ? std::max(decoded.max, v) : v;
+        decoded.has_minmax = true;
+      }
+      EXPECT_EQ(stats.has_minmax, decoded.has_minmax)
+          << "chunk " << c << " column " << k;
+      EXPECT_EQ(stats.min, decoded.min) << "chunk " << c << " column " << k;
+      EXPECT_EQ(stats.max, decoded.max) << "chunk " << c << " column " << k;
     }
   }
-}
-
-TEST_F(ColumnarIoTest, PushdownSkipsChunksThatCannotMatch) {
-  const TraceDatabase& db = fa::testing::small_simulated_db();
-  save_columnar(db, path("trace.fac"), 128);
-  ChunkReader reader(path("trace.fac"));
-
-  // A time range past the observation window cannot match any chunk.
-  const TicketFilter none =
-      TicketFilter{}.opened_between(db.window().end + from_days(1.0),
-                                    db.window().end + from_days(2.0));
-  std::size_t skipped = 0;
-  const std::size_t chunks = reader.chunk_count(columnar::Table::kTickets);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    skipped +=
-        !none.chunk_may_match(reader.chunk_info(columnar::Table::kTickets, c));
-  }
-  EXPECT_EQ(skipped, chunks);
-  EXPECT_TRUE(none.scan_columnar(reader).empty());
-
-  // A single-server predicate must skip at least the chunks whose id range
-  // excludes that server (tickets are appended roughly in time order, but
-  // min/max still prune the low-id prefix chunks for a high server id).
-  const TicketFilter one = TicketFilter{}.server(db.servers().back().id);
-  std::size_t may_match = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    may_match +=
-        one.chunk_may_match(reader.chunk_info(columnar::Table::kTickets, c));
-  }
-  EXPECT_LE(may_match, chunks);
 }
 
 // ---- out-of-core aggregation (analysis/out_of_core.h) ----

@@ -42,6 +42,29 @@ TEST(Database, FinalizeValidatesReferentialIntegrity) {
   EXPECT_THROW(db.finalize(), Error);
 }
 
+TEST(Database, FinalizeChecksTheServerOfBackgroundTicketsThatNameOne) {
+  const auto background = [](ServerId server) {
+    Ticket t;
+    t.server = server;
+    t.is_crash = false;
+    t.closed = t.opened + 10;
+    return t;
+  };
+  // No server at all is legal for a background ticket: sanitize clears a
+  // dangling reference and keeps the ticket.
+  fa::testing::TinyDbBuilder ok;
+  ok.add_pm(0);
+  ok.raw().add_ticket(background(ServerId{}));
+  const TraceDatabase db = ok.finish();
+  EXPECT_FALSE(db.tickets().front().server.valid());
+
+  // A server it does name must exist.
+  fa::testing::TinyDbBuilder bad;
+  bad.add_pm(0);
+  bad.raw().add_ticket(background(ServerId{1}));
+  EXPECT_THROW(bad.finish(), Error);
+}
+
 TEST(Database, FinalizeRejectsNegativeRepair) {
   fa::testing::TinyDbBuilder b;
   const ServerId s = b.add_pm(0);

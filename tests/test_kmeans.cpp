@@ -8,9 +8,15 @@
 #include "src/stats/sparse_matrix.h"
 #include "src/util/error.h"
 #include "src/util/thread_pool.h"
+#include "tests/dense_oracle.h"
 
 namespace fa::stats {
 namespace {
+
+// Dense test points as the CSR matrix the library clusters.
+SparseMatrix sparse(const std::vector<std::vector<double>>& points) {
+  return fa::testing::sparsify(points, points.front().size());
+}
 
 // Three well-separated 2-D blobs.
 std::vector<std::vector<double>> blobs(Rng& rng, int per_cluster) {
@@ -31,7 +37,7 @@ TEST(KMeans, RecoversSeparatedClusters) {
   const auto points = blobs(rng, 50);
   KMeansOptions options;
   options.k = 3;
-  const auto result = kmeans(points, options, rng);
+  const auto result = kmeans(sparse(points), options, rng);
 
   // Each ground-truth blob maps to exactly one cluster.
   std::set<int> first(result.assignment.begin(), result.assignment.begin() + 50);
@@ -52,7 +58,7 @@ TEST(KMeans, AssignmentsInRangeAndComplete) {
   const auto points = blobs(rng, 20);
   KMeansOptions options;
   options.k = 4;
-  const auto result = kmeans(points, options, rng);
+  const auto result = kmeans(sparse(points), options, rng);
   ASSERT_EQ(result.assignment.size(), points.size());
   for (int a : result.assignment) {
     EXPECT_GE(a, 0);
@@ -68,8 +74,8 @@ TEST(KMeans, InertiaDecreasesWithMoreClusters) {
   k2.k = 2;
   k6.k = 6;
   Rng r1(4), r2(4);
-  const double inertia2 = kmeans(points, k2, r1).inertia;
-  const double inertia6 = kmeans(points, k6, r2).inertia;
+  const double inertia2 = kmeans(sparse(points), k2, r1).inertia;
+  const double inertia6 = kmeans(sparse(points), k6, r2).inertia;
   EXPECT_LT(inertia6, inertia2);
 }
 
@@ -79,7 +85,7 @@ TEST(KMeans, KEqualsNGivesZeroInertia) {
   KMeansOptions options;
   options.k = 3;
   Rng rng(5);
-  const auto result = kmeans(points, options, rng);
+  const auto result = kmeans(sparse(points), options, rng);
   EXPECT_NEAR(result.inertia, 0.0, 1e-12);
 }
 
@@ -90,7 +96,7 @@ TEST(KMeans, HandlesDuplicatePoints) {
   KMeansOptions options;
   options.k = 3;
   Rng rng(6);
-  const auto result = kmeans(points, options, rng);
+  const auto result = kmeans(sparse(points), options, rng);
   ASSERT_EQ(result.assignment.size(), 4u);
   EXPECT_LE(result.inertia, 1e-9);
 }
@@ -100,14 +106,25 @@ TEST(KMeans, RejectsBadArguments) {
   const std::vector<std::vector<double>> points = {{1.0}, {2.0}};
   KMeansOptions options;
   options.k = 3;  // more clusters than points
-  EXPECT_THROW(kmeans(points, options, rng), Error);
+  EXPECT_THROW(kmeans(sparse(points), options, rng), Error);
 
   options.k = 0;
-  EXPECT_THROW(kmeans(points, options, rng), Error);
+  EXPECT_THROW(kmeans(sparse(points), options, rng), Error);
 
-  const std::vector<std::vector<double>> ragged = {{1.0}, {2.0, 3.0}};
   options.k = 1;
-  EXPECT_THROW(kmeans(ragged, options, rng), Error);
+  options.restarts = 0;
+  EXPECT_THROW(kmeans(sparse(points), options, rng), Error);
+
+  // Zero columns: nothing to cluster on.
+  options.restarts = 1;
+  SparseMatrix no_columns(0);
+  no_columns.append_row({}, {});
+  no_columns.append_row({}, {});
+  EXPECT_THROW(kmeans(no_columns, options, rng), Error);
+
+  // Anchors must have one entry per column of the points.
+  options.anchors = {{1.0, 2.0}};
+  EXPECT_THROW(kmeans(sparse(points), options, rng), Error);
 }
 
 TEST(KMeans, AnchorsFillingAllClustersSeedEveryCentroid) {
@@ -120,7 +137,7 @@ TEST(KMeans, AnchorsFillingAllClustersSeedEveryCentroid) {
   options.restarts = 1;
   options.anchors = {{0.0, 0.0}, {10.0, 0.0}};
   Rng rng(10);
-  const auto result = kmeans(points, options, rng);
+  const auto result = kmeans(sparse(points), options, rng);
   EXPECT_EQ(result.assignment, (std::vector<int>{0, 0, 1, 1}));
   EXPECT_TRUE(result.converged);
 }
@@ -133,8 +150,8 @@ TEST(KMeans, RestartsPickLowestInertia) {
   one.restarts = 1;
   many.restarts = 10;
   Rng r1(9), r2(9);
-  const double single = kmeans(points, one, r1).inertia;
-  const double best = kmeans(points, many, r2).inertia;
+  const double single = kmeans(sparse(points), one, r1).inertia;
+  const double best = kmeans(sparse(points), many, r2).inertia;
   EXPECT_LE(best, single + 1e-9);
 }
 

@@ -4,12 +4,14 @@
 // contract at 1, 2 and 8 threads.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "src/analysis/pipeline.h"
 #include "src/sim/simulator.h"
 #include "src/stats/bootstrap.h"
 #include "src/stats/kmeans.h"
+#include "src/stats/sparse_matrix.h"
 #include "src/trace/fingerprint.h"
 #include "src/util/thread_pool.h"
 
@@ -62,10 +64,14 @@ TEST_F(ParallelDeterminism, PipelineIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(ParallelDeterminism, KMeansIdenticalAcrossThreadCounts) {
-  std::vector<std::vector<double>> points;
+  // More rows than one assignment chunk, so the chunk-parallel step splits.
+  stats::SparseMatrix points(2);
   Rng data_rng(42);
-  for (int i = 0; i < 300; ++i) {
-    points.push_back({data_rng.uniform(), data_rng.uniform() + (i % 3)});
+  const std::vector<std::uint32_t> columns = {0, 1};
+  for (int i = 0; i < 5000; ++i) {
+    const std::vector<double> values = {data_rng.uniform(),
+                                        data_rng.uniform() + (i % 3)};
+    points.append_row(columns, values);
   }
   stats::KMeansOptions options;
   options.k = 3;

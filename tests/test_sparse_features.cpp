@@ -1,7 +1,7 @@
-// Sparse classification fast path: CSR feature extraction and the
-// bound-pruned sparse k-means overload must reproduce the dense reference
-// implementation exactly — same nonzero weights, same cluster assignments,
-// same labels and accuracy — at any thread count.
+// Sparse classification path: CSR feature extraction and the bound-pruned
+// sparse k-means must reproduce the serial dense oracle (dense_oracle.h)
+// exactly — same weights, same cluster assignments, same labels and
+// accuracy — at any thread count.
 #include <cmath>
 #include <string>
 #include <vector>
@@ -16,6 +16,7 @@
 #include "src/util/error.h"
 #include "src/util/strings.h"
 #include "src/util/thread_pool.h"
+#include "tests/dense_oracle.h"
 #include "tests/test_support.h"
 
 namespace fa {
@@ -43,7 +44,7 @@ TEST(SparseMatrix, RoundTripAndNorms) {
   m.append_row({}, {});  // empty row
   ASSERT_EQ(m.rows(), 2u);
   EXPECT_EQ(m.cols(), 5u);
-  EXPECT_EQ(m.nonzeros(), 2u);
+  EXPECT_EQ(m.row(0).size(), 2u);
   EXPECT_DOUBLE_EQ(m.row_norm_sq(0), 13.0);
   EXPECT_DOUBLE_EQ(m.row_norm_sq(1), 0.0);
   EXPECT_EQ(m.row(1).size(), 0u);
@@ -68,11 +69,14 @@ TEST(SparseMatrix, RejectsMalformedRows) {
 
 TEST(SparseFeatures, CsrMatchesDenseTransformBitForBit) {
   const auto v = fit_corpus();
-  const auto dense = v.transform_all(kCorpus);
+  text::VectorizerOptions options;
+  options.min_document_frequency = 2;
+  const auto dense = testing::dense_tfidf(kCorpus, v, options, kCorpus);
   const auto sparse = v.transform_all_sparse(kCorpus);
   ASSERT_EQ(sparse.rows(), kCorpus.size());
   ASSERT_EQ(sparse.cols(), v.dimension());
-  const auto round_trip = sparse.to_dense();
+  const auto round_trip = testing::densify(sparse);
+  ASSERT_EQ(round_trip.size(), dense.size());
   for (std::size_t i = 0; i < dense.size(); ++i) {
     ASSERT_EQ(round_trip[i].size(), dense[i].size());
     for (std::size_t d = 0; d < dense[i].size(); ++d) {
@@ -94,7 +98,9 @@ TEST(SparseFeatures, RowNormsMatchWeights) {
     }
     EXPECT_DOUBLE_EQ(sparse.row_norm_sq(i), norm_sq);
     // L2-normalized documents have unit norm; empty documents zero.
-    if (row.size() > 0) EXPECT_NEAR(sparse.row_norm_sq(i), 1.0, 1e-12);
+    if (row.size() > 0) {
+      EXPECT_NEAR(sparse.row_norm_sq(i), 1.0, 1e-12);
+    }
   }
 }
 
@@ -108,7 +114,7 @@ TEST(SparseFeatures, EmptyDocumentYieldsEmptyRow) {
 }
 
 // Sparse k-means on well-separated sparse blobs must agree with the dense
-// overload run on the densified matrix.
+// oracle run on the densified matrix.
 TEST(SparseKMeans, MatchesDenseOnSeparatedSparseBlobs) {
   Rng data_rng(17);
   stats::SparseMatrix points(12);
@@ -122,11 +128,11 @@ TEST(SparseKMeans, MatchesDenseOnSeparatedSparseBlobs) {
       points.append_row(idx, val);
     }
   }
-  const auto dense = points.to_dense();
+  const auto dense = testing::densify(points);
   stats::KMeansOptions options;
   options.k = 4;
   Rng r1(23), r2(23);
-  const auto dense_run = stats::kmeans(dense, options, r1);
+  const auto dense_run = testing::dense_kmeans(dense, options, r1);
   const auto sparse_run = stats::kmeans(points, options, r2);
   EXPECT_EQ(dense_run.assignment, sparse_run.assignment);
   EXPECT_NEAR(dense_run.inertia, sparse_run.inertia,
@@ -139,8 +145,9 @@ TEST(SparseKMeans, MatchesDenseOnSeparatedSparseBlobs) {
   }
 }
 
-// The anchored 24-cluster crash-extraction configuration, dense vs sparse,
-// on the simulated corpus: identical assignments at 1, 2 and 8 threads.
+// An anchored 24-cluster configuration over the TF-IDF of every ticket
+// description, dense oracle vs sparse, on the simulated corpus: identical
+// assignments at 1, 2 and 8 threads.
 TEST(SparseKMeans, CrashExtractionConfigurationMatchesDense) {
   const auto& db = fa::testing::small_simulated_db();
   std::vector<std::string> corpus;
@@ -149,16 +156,17 @@ TEST(SparseKMeans, CrashExtractionConfigurationMatchesDense) {
   text::VectorizerOptions vec_options;
   vec_options.min_document_frequency = 3;
   const auto vectorizer = text::Vectorizer::fit(corpus, vec_options);
-  const auto dense = vectorizer.transform_all(corpus);
+  const auto dense =
+      testing::dense_tfidf(corpus, vectorizer, vec_options, corpus);
   const auto sparse = vectorizer.transform_all_sparse(corpus);
 
   stats::KMeansOptions km;
   km.k = 24;
   km.restarts = 3;
-  km.anchors.push_back(dense.front());  // anchored, as in crash extraction
+  km.anchors.push_back(dense.front());
 
   Rng dense_rng(31);
-  const auto reference = stats::kmeans(dense, km, dense_rng);
+  const auto reference = testing::dense_kmeans(dense, km, dense_rng);
   for (const std::size_t threads : {1u, 2u, 8u}) {
     ThreadPool::set_default_thread_count(threads);
     Rng sparse_rng(31);
@@ -170,9 +178,9 @@ TEST(SparseKMeans, CrashExtractionConfigurationMatchesDense) {
   ThreadPool::set_default_thread_count(0);
 }
 
-// Dense reference implementation of classify_tickets (the pre-sparse code
-// path: dense TF-IDF + dense k-means + identical labeling), used to pin
-// that the production sparse path produces the same labels and accuracy.
+// Dense reference implementation of classify_tickets (dense TF-IDF + dense
+// k-means oracles + identical labeling), used to pin that the production
+// sparse path produces the same labels and accuracy.
 analysis::ClassificationResult dense_reference_classify(
     std::span<const trace::Ticket* const> tickets,
     const analysis::ClassifierOptions& options, Rng& rng) {
@@ -184,13 +192,14 @@ analysis::ClassificationResult dense_reference_classify(
   text::VectorizerOptions vec_options;
   vec_options.min_document_frequency = options.min_document_frequency;
   const auto vectorizer = text::Vectorizer::fit(corpus, vec_options);
-  const auto features = vectorizer.transform_all(corpus);
+  const auto features =
+      testing::dense_tfidf(corpus, vectorizer, vec_options, corpus);
 
   stats::KMeansOptions km;
   km.k = options.clusters;
   km.restarts = options.kmeans_restarts;
   analysis::ClassificationResult result;
-  result.clustering = stats::kmeans(features, km, rng);
+  result.clustering = testing::dense_kmeans(features, km, rng);
 
   std::vector<std::array<int, trace::kFailureClassCount>> votes(
       static_cast<std::size_t>(options.clusters));
@@ -257,25 +266,6 @@ TEST(SparseClassification, LabelsAndAccuracyMatchDenseReference) {
   ThreadPool::set_default_thread_count(0);
 }
 
-TEST(SparseClassification, ClusteredExtractionThreadCountInvariant) {
-  const auto& db = fa::testing::small_simulated_db();
-  ThreadPool::set_default_thread_count(1);
-  Rng r1(11);
-  const auto reference = analysis::extract_crash_tickets_clustered(db, r1);
-  for (const std::size_t threads : {2u, 8u}) {
-    ThreadPool::set_default_thread_count(threads);
-    Rng rng(11);
-    const auto run = analysis::extract_crash_tickets_clustered(db, rng);
-    EXPECT_EQ(run.crash_tickets, reference.crash_tickets)
-        << threads << " threads";
-    EXPECT_DOUBLE_EQ(run.accuracy, reference.accuracy) << threads << " threads";
-    EXPECT_DOUBLE_EQ(run.precision, reference.precision)
-        << threads << " threads";
-    EXPECT_DOUBLE_EQ(run.recall, reference.recall) << threads << " threads";
-  }
-  ThreadPool::set_default_thread_count(0);
-}
-
 // The anchors-fill-k fast path must behave like plain anchored seeding:
 // every centroid starts at its anchor and no k-means++ draw happens.
 TEST(SparseKMeans, AnchorsFillingAllClustersSkipSeedingDraws) {
@@ -292,7 +282,8 @@ TEST(SparseKMeans, AnchorsFillingAllClustersSkipSeedingDraws) {
   options.anchors = {{0.0, 0.0}, {10.0, 0.0}};
   Rng r1(5), r2(5);
   const auto sparse_run = stats::kmeans(points, options, r1);
-  const auto dense_run = stats::kmeans(points.to_dense(), options, r2);
+  const auto dense_run =
+      testing::dense_kmeans(testing::densify(points), options, r2);
   EXPECT_EQ(sparse_run.assignment, dense_run.assignment);
   EXPECT_NEAR(sparse_run.inertia, dense_run.inertia, 1e-9);
 }

@@ -374,6 +374,26 @@ TEST(EmitStream, UsageOfTheLastIntWeekIsNeverDelivered) {
   EXPECT_EQ(sink.events[0].usage.week, 3);
 }
 
+TEST(EmitStream, ServerlessBackgroundTicketGetsTheDefaultMachineType) {
+  fa::testing::TinyDbBuilder b;
+  const auto vm = b.add_vm(1);
+  b.add_crash(vm, 10.0, 2.0);
+  trace::Ticket orphan;  // no server: sanitize cleared a dangling reference
+  orphan.opened = ticket_window().begin + from_days(20.0);
+  orphan.closed = orphan.opened + from_hours(1.0);
+  orphan.description = "cpu utilization warning";
+  b.raw().add_ticket(std::move(orphan));
+  const auto db = b.finish();
+
+  RecordingSink sink;
+  emit_stream(db, {}, sink);
+  ASSERT_EQ(sink.events.size(), 2u);
+  EXPECT_EQ(sink.events[0].machine_type, trace::MachineType::kVirtual);
+  EXPECT_FALSE(sink.events[1].ticket.server.valid());
+  // The event is reused between deliveries: the VM's type must not leak.
+  EXPECT_EQ(sink.events[1].machine_type, trace::StreamEvent{}.machine_type);
+}
+
 TEST(EmitStreamOracle, SimulatedTraceMatchesTheReference) {
   const auto& db = fa::testing::small_simulated_db();
   const ObservationWindow& w = db.window();

@@ -17,6 +17,15 @@ const std::vector<std::string> kCorpus = {
     "network cable replaced",
 };
 
+// One document's weights spread over every vocabulary dimension.
+std::vector<double> transform(const Vectorizer& v, const std::string& doc) {
+  std::vector<double> vec(v.dimension(), 0.0);
+  for (const auto& [index, weight] : v.transform_sparse(doc)) {
+    vec.at(index) = weight;
+  }
+  return vec;
+}
+
 TEST(Vectorizer, VocabularyRespectsMinDocumentFrequency) {
   VectorizerOptions options;
   options.min_document_frequency = 2;
@@ -34,15 +43,20 @@ TEST(Vectorizer, TransformDimensionMatchesVocabulary) {
   VectorizerOptions options;
   options.min_document_frequency = 1;
   const auto v = Vectorizer::fit(kCorpus, options);
-  const auto vec = v.transform(kCorpus[0]);
-  EXPECT_EQ(vec.size(), v.dimension());
+  const auto matrix = v.transform_all_sparse(kCorpus);
+  EXPECT_EQ(matrix.cols(), v.dimension());
+  EXPECT_EQ(matrix.rows(), kCorpus.size());
+  for (const auto& [index, weight] : v.transform_sparse(kCorpus[0])) {
+    EXPECT_LT(index, v.dimension());
+    EXPECT_GT(weight, 0.0);
+  }
 }
 
 TEST(Vectorizer, L2NormalizationUnitLength) {
   VectorizerOptions options;
   options.min_document_frequency = 1;
   const auto v = Vectorizer::fit(kCorpus, options);
-  const auto vec = v.transform("disk error network");
+  const auto vec = transform(v, "disk error network");
   double norm = 0.0;
   for (double x : vec) norm += x * x;
   EXPECT_NEAR(std::sqrt(norm), 1.0, 1e-12);
@@ -52,8 +66,7 @@ TEST(Vectorizer, UnseenWordsIgnored) {
   VectorizerOptions options;
   options.min_document_frequency = 1;
   const auto v = Vectorizer::fit(kCorpus, options);
-  const auto vec = v.transform("quantum blockchain nonsense");
-  for (double x : vec) EXPECT_DOUBLE_EQ(x, 0.0);
+  EXPECT_TRUE(v.transform_sparse("quantum blockchain nonsense").empty());
 }
 
 TEST(Vectorizer, IdfDownweightsCommonWords) {
@@ -63,7 +76,7 @@ TEST(Vectorizer, IdfDownweightsCommonWords) {
   options.min_document_frequency = 1;
   options.l2_normalize = false;
   const auto v = Vectorizer::fit(kCorpus, options);
-  const auto vec = v.transform("disk cable");
+  const auto vec = transform(v, "disk cable");
   const auto& vocab = v.vocabulary();
   double disk_w = 0.0, cable_w = 0.0;
   for (std::size_t i = 0; i < vocab.size(); ++i) {
@@ -80,8 +93,8 @@ TEST(Vectorizer, RepeatedWordsIncreaseTermFrequency) {
   options.l2_normalize = false;
   options.use_idf = false;
   const auto v = Vectorizer::fit(kCorpus, options);
-  const auto once = v.transform("disk");
-  const auto thrice = v.transform("disk disk disk");
+  const auto once = transform(v, "disk");
+  const auto thrice = transform(v, "disk disk disk");
   double w1 = 0.0, w3 = 0.0;
   for (std::size_t i = 0; i < v.vocabulary().size(); ++i) {
     if (v.vocabulary()[i] == "disk") {

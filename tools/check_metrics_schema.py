@@ -8,12 +8,12 @@ package.
 
 Modes:
   check_metrics_schema.py --schema SCHEMA METRICS_JSON
-      Validate a metrics snapshot (fa_trace --metrics / perf_toolkit
-      --metrics output) against SCHEMA (tools/metrics_schema.json).
+      Validate a metrics snapshot (fa_trace --metrics output) against
+      SCHEMA (tools/metrics_schema.json).
 
   check_metrics_schema.py --trace SCHEMA TRACE_JSON
-      Validate a Chrome trace-event export (--trace-out output) against
-      SCHEMA (tools/trace_schema.json).
+      Validate a Chrome trace-event export (fa_trace --trace-out output)
+      against SCHEMA (tools/trace_schema.json).
 
   check_metrics_schema.py --compare-deterministic A_JSON B_JSON
       Assert that the "deterministic" sections of two metrics snapshots are
