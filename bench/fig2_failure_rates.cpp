@@ -58,11 +58,14 @@ int main(int argc, char** argv) {
       const auto ci = stats::bootstrap_ci(
           series, [](std::span<const double> xs) { return stats::mean(xs); },
           rng);
+      std::string interval = "[";
+      interval += format_double(ci.lo, 5);
+      interval += ", ";
+      interval += format_double(ci.hi, 5);
+      interval += ']';
       ci_table.add_row(
           {std::string(trace::to_string(static_cast<trace::MachineType>(t))),
-           format_double(ci.point, 5),
-           "[" + format_double(ci.lo, 5) + ", " + format_double(ci.hi, 5) +
-               "]"});
+           format_double(ci.point, 5), interval});
     }
     std::cout << ci_table.to_string() << "\n";
   }

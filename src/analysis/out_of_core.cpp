@@ -51,10 +51,10 @@ void for_each_chunk(
   for (std::size_t i = 0; i < chunks; ++i) {
     if (report == nullptr) {
       fn(reader.chunk(table, i));
-      continue;
+    } else if (const auto view = reader.try_chunk(table, i, report)) {
+      fn(*view);
     }
-    const auto view = reader.try_chunk(table, i, report);
-    if (view) fn(*view);
+    reader.release(table, i, i + 1);
   }
 }
 
@@ -74,28 +74,25 @@ OutOfCoreSummary summarize_columnar(const std::string& path, bool use_mmap,
   std::uint64_t server_rows_read = 0;
   scope_of.reserve(reader.row_count(Table::kServers));
   for (std::size_t i = 0; i < reader.chunk_count(Table::kServers); ++i) {
-    std::optional<ChunkView> lenient;
-    if (report != nullptr) {
-      lenient = reader.try_chunk(Table::kServers, i, report);
-      if (!lenient) {
-        scope_of.resize(scope_of.size() +
-                            reader.chunk_info(Table::kServers, i).rows,
-                        kUnknownScope);
-        continue;
-      }
-    }
-    const ChunkView view =
-        report != nullptr ? std::move(*lenient)
+    const std::optional<ChunkView> view =
+        report != nullptr ? reader.try_chunk(Table::kServers, i, report)
                           : reader.chunk(Table::kServers, i);
-    const auto types = view.column(col::kServerType).u8_span();
-    const auto systems = view.column(col::kServerSubsystem).u8_span();
-    for (std::uint32_t r = 0; r < view.rows(); ++r) {
-      const auto type = static_cast<trace::MachineType>(types[r]);
-      const trace::Subsystem sys = systems[r];
-      ++summary.by_scope[static_cast<int>(type)][sys].servers;
-      scope_of.push_back(pack_scope(type, sys));
+    if (!view) {
+      scope_of.resize(
+          scope_of.size() + reader.chunk_info(Table::kServers, i).rows,
+          kUnknownScope);
+    } else {
+      const auto types = view->column(col::kServerType).u8_span();
+      const auto systems = view->column(col::kServerSubsystem).u8_span();
+      for (std::uint32_t r = 0; r < view->rows(); ++r) {
+        const auto type = static_cast<trace::MachineType>(types[r]);
+        const trace::Subsystem sys = systems[r];
+        ++summary.by_scope[static_cast<int>(type)][sys].servers;
+        scope_of.push_back(pack_scope(type, sys));
+      }
+      server_rows_read += view->rows();
     }
-    server_rows_read += view.rows();
+    reader.release(Table::kServers, i, i + 1);
   }
   summary.servers = server_rows_read;
 

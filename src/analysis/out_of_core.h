@@ -17,9 +17,11 @@
 
 namespace fa::analysis {
 
-// Calls fn(view) for every chunk of `table`, in file order. With a
-// non-null `report` the traversal is lenient: damaged chunks (checksum
-// mismatch, truncation) are skipped and recorded instead of throwing.
+// Calls fn(view) for every chunk of `table`, in file order, and releases
+// each chunk's mapped pages (ChunkReader::release) once fn returns, so fn
+// must not keep views or spans into them. With a non-null `report` the
+// traversal is lenient: damaged chunks (checksum mismatch, truncation) are
+// skipped and recorded instead of throwing.
 void for_each_chunk(
     const trace::ChunkReader& reader, trace::columnar::Table table,
     const std::function<void(const trace::columnar::ChunkView&)>& fn,
@@ -56,12 +58,13 @@ struct OutOfCoreSummary {
 // Streams `path` chunk-at-a-time: one pass over the server chunks builds a
 // one-byte-per-server scope index, one pass over the ticket chunks counts
 // crash tickets per stratum; monitoring-table volumes come straight from
-// the footer. Peak memory is one chunk plus the scope index — independent
-// of fleet size. With a non-null `report` the read degrades gracefully:
-// damaged chunks are skipped (skipped server chunks keep their positional
-// slots in the scope index, so later server ids stay aligned) and the
-// summary covers only the rows actually read — check report->degraded()
-// before treating the result as complete.
+// the footer. Each chunk's mapped pages are released after its pass, so
+// peak memory is one chunk plus the scope index (one byte per server).
+// With a non-null `report` the read degrades gracefully: damaged chunks
+// are skipped (skipped server chunks keep their positional slots in the
+// scope index, so later server ids stay aligned) and the summary covers
+// only the rows actually read — check report->degraded() before treating
+// the result as complete.
 OutOfCoreSummary summarize_columnar(const std::string& path,
                                     bool use_mmap = true,
                                     trace::DegradedReadReport* report =

@@ -64,7 +64,14 @@ std::string BinSpec::label(std::size_t bin) const {
     return format_double(lo, 0);
   }
   const int prec = integral ? 0 : 2;
-  return "[" + format_double(lo, prec) + ", " + format_double(hi, prec) + ")";
+  // Appended piecewise: g++ 12 flags `"[" + std::string&&` with a
+  // spurious -Wrestrict.
+  std::string out = "[";
+  out += format_double(lo, prec);
+  out += ", ";
+  out += format_double(hi, prec);
+  out += ')';
+  return out;
 }
 
 Histogram::Histogram(BinSpec spec)

@@ -63,19 +63,8 @@ std::vector<std::vector<double>> seed_plus_plus(
       }
     });
   };
-  if (options.anchors.empty()) {
-    centroids.push_back(
-        points.row_dense(static_cast<std::size_t>(rng.uniform_int(0, n - 1))));
-  } else {
-    // Anchors first; k-means++ continues conditioned on them. Anchors
-    // filling all k centroids leave nothing to draw: skip the d2 pass.
-    for (const auto& anchor : options.anchors) {
-      if (static_cast<int>(centroids.size()) >= k) break;
-      centroids.push_back(anchor);
-    }
-    if (static_cast<int>(centroids.size()) >= k) return centroids;
-    for (const auto& c : centroids) lower_onto(c);
-  }
+  centroids.push_back(
+      points.row_dense(static_cast<std::size_t>(rng.uniform_int(0, n - 1))));
   while (static_cast<int>(centroids.size()) < k) {
     lower_onto(centroids.back());
     double total = 0.0;
@@ -282,10 +271,6 @@ KMeansResult kmeans(const SparseMatrix& points, const KMeansOptions& options,
           "kmeans: need at least k points");
   require(options.restarts >= 1, "kmeans: need at least one restart");
   require(points.cols() >= 1, "kmeans: zero-dimensional points");
-  for (const auto& anchor : options.anchors) {
-    require(anchor.size() == points.cols(),
-            "kmeans: anchor dimensionality mismatch");
-  }
 
   // The restart RNGs are forked serially up front, so the caller's
   // generator advances the same way at any thread count; the restarts then

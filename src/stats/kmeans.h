@@ -52,11 +52,6 @@ struct KMeansOptions {
   // (ties broken by restart index, so the result is schedule-independent).
   int restarts = 4;
   double tolerance = 1e-7;  // relative inertia improvement to keep iterating
-  // Optional deterministic seed centroids (at most k, dense, with one entry
-  // per column of the points). Every restart starts from these; k-means++
-  // draws only the remaining k - anchors.size() centroids. Pins a centroid
-  // onto a known small mode that random seeding would miss.
-  std::vector<std::vector<double>> anchors;
 };
 
 // points: n rows over cols() >= 1 columns. Requires n >= k. Centroids

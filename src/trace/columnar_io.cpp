@@ -192,7 +192,11 @@ std::string DegradedReadReport::to_string() const {
 
 ColumnarWriter::ColumnarWriter(const std::string& path,
                                std::uint32_t chunk_rows)
-    : ColumnarWriter(path, WriterOptions{.chunk_rows = chunk_rows}) {}
+    : ColumnarWriter(path, [&] {
+        WriterOptions options;
+        options.chunk_rows = chunk_rows;
+        return options;
+      }()) {}
 
 ColumnarWriter::ColumnarWriter(const std::string& path,
                                const WriterOptions& options)
@@ -601,6 +605,26 @@ std::optional<ChunkView> ChunkReader::try_chunk(
   }
 }
 
+void ChunkReader::release(Table table, std::size_t first,
+                          std::size_t last) const {
+  if (mapping_ == nullptr) return;
+  const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  const auto& chunks = directory_[static_cast<std::size_t>(table)];
+  for (std::size_t i = first; i < std::min(last, chunks.size()); ++i) {
+    const ChunkInfo& info = chunks[i];
+    if (info.offset >= mapping_size_) continue;
+    // Whole pages inside the chunk only: a page shared with a neighbouring
+    // chunk (of this or another table) may still be read.
+    const std::uint64_t end =
+        info.offset + std::min(info.size, mapping_size_ - info.offset);
+    const std::uint64_t begin = (info.offset + page - 1) / page * page;
+    const std::uint64_t inner_end = end / page * page;
+    if (begin >= inner_end) continue;
+    ::madvise(const_cast<std::byte*>(mapping_) + begin, inner_end - begin,
+              MADV_DONTNEED);
+  }
+}
+
 FileReport ChunkReader::report() const {
   return build_report(directory_, row_counts_, footer_bytes_);
 }
@@ -882,7 +906,8 @@ FileReport save_columnar(const TraceDatabase& db, const std::string& path,
 namespace {
 
 // Chunks per load wave. A wave is read serially, then decoded in parallel;
-// on the buffered (non-mmap) path it bounds how many chunk copies are held.
+// it bounds how many chunk copies (buffered) or resident mapped chunks
+// (mmap, released after each wave) a load holds.
 constexpr std::size_t kLoadWaveChunks = 8;
 
 // What a load does with a chunk that cannot be read (truncated, corrupt,
@@ -897,11 +922,11 @@ enum class BadChunk {
 // checksummed serially in index order, kLoadWaveChunks at a time; then the
 // wave's rows are decoded in parallel, one task per chunk, chunk i into
 // rows_for(i), a span exactly as long as the chunk (requested in index
-// order, right after the chunk is read). wave_done, if set, runs after
-// each wave. A row that fails to decode, or under kThrow a chunk that fails
-// to read, throws the error of the lowest-index failing chunk at any thread
-// count. Returns the index of the chunk a kStop halted at, else the chunk
-// count.
+// order, right after the chunk is read). Once the decode has joined, the
+// wave's pages are released and wave_done, if set, runs. A row that fails
+// to decode, or under kThrow a chunk that fails to read, throws the error
+// of the lowest-index failing chunk at any thread count. Returns the index
+// of the chunk a kStop halted at, else the chunk count.
 template <typename Row>
 std::size_t decode_table(
     const ChunkReader& reader, Table table, BadChunk on_bad,
@@ -953,6 +978,7 @@ std::size_t decode_table(
       if (error) std::rethrow_exception(error);
     }
     if (read_error) std::rethrow_exception(read_error);
+    reader.release(table, first, last);
     if (wave_done) wave_done();
     if (halted != chunks) return halted;
   }
@@ -1054,7 +1080,12 @@ TraceDatabase load_columnar_lenient(const std::string& path,
   std::int32_t max_incident = -1;
   stage_table<Ticket>(reader, Table::kTickets, BadChunk::kSkip, report,
                       [&](Ticket&& t) {
-                        if (dangling(t.server)) return;
+                        // finalize()'s rule: a background ticket may have
+                        // no server; one it names must be loaded.
+                        if ((t.is_crash || t.server.valid()) &&
+                            dangling(t.server)) {
+                          return;
+                        }
                         max_incident =
                             std::max(max_incident, t.incident.value);
                         db.add_ticket(std::move(t));

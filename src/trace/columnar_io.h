@@ -198,10 +198,13 @@ class ColumnarWriter {
 // Opens a columnar file, validates header/tail/footer, and decodes chunks
 // on demand. Prefers mmap (zero-copy column views into the mapping); falls
 // back to buffered pread reads when mapping fails or `use_mmap` is false,
-// in which case each ChunkView owns a copy of just its chunk — memory
-// stays bounded by chunk size either way. Every chunk() call verifies the
-// chunk's checksum before returning a view; failures throw ChunkError
-// naming the table, chunk index and file offset.
+// in which case each ChunkView owns a copy of just its chunk. A mapped
+// page stays resident once a checksum or decode touches it, until
+// release() gives it back; the loaders and out_of_core.h release each
+// chunk (or load wave) after its last access, so either way a read holds
+// about one wave of chunk bytes. Every chunk() call verifies the chunk's
+// checksum before returning a view; failures throw ChunkError naming the
+// table, chunk index and file offset.
 class ChunkReader {
  public:
   explicit ChunkReader(const std::string& path, bool use_mmap = true);
@@ -237,6 +240,14 @@ class ChunkReader {
   std::optional<columnar::ChunkView> try_chunk(
       columnar::Table table, std::size_t index,
       DegradedReadReport* report) const;
+  // Gives the resident pages of chunks [first, last) of `table` back to
+  // the kernel (madvise MADV_DONTNEED on each chunk's page-aligned inner
+  // span, clipped to the mapping). The mapping is read-only and private,
+  // so a later read faults the same bytes back in; call it once views of
+  // those chunks are no longer read, to keep them out of the resident set.
+  // A no-op in buffered mode.
+  void release(columnar::Table table, std::size_t first,
+               std::size_t last) const;
 
   // Size/compression report reconstructed from the footer (no chunk IO).
   FileReport report() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <type_traits>
 
 #include "src/util/error.h"
@@ -9,9 +10,25 @@
 namespace fa::trace {
 namespace {
 
+// CSR offsets over `servers` dense ids for the rows `keep` accepts:
+// server s owns [offsets[s], offsets[s + 1]) of them, in row order. Every
+// kept row's server must be a valid id below `servers` (finalize checks
+// this first).
+template <typename Row, typename Keep>
+std::vector<std::size_t> server_offsets(const std::vector<Row>& rows,
+                                        std::size_t servers, Keep keep) {
+  std::vector<std::size_t> offsets(servers + 1, 0);
+  for (const Row& row : rows) {
+    if (keep(row)) ++offsets[static_cast<std::size_t>(row.server.value) + 1];
+  }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  return offsets;
+}
+
+// Sorts `rows` by (server, key) and returns their server_offsets.
 template <typename Row, typename Key>
-std::unordered_map<ServerId, std::pair<std::size_t, std::size_t>> build_ranges(
-    std::vector<Row>& rows, Key key) {
+std::vector<std::size_t> sort_by_server(std::vector<Row>& rows,
+                                        std::size_t servers, Key key) {
   const auto less = [&](const Row& a, const Row& b) {
     if (a.server != b.server) return a.server < b.server;
     return key(a) < key(b);
@@ -21,15 +38,16 @@ std::unordered_map<ServerId, std::pair<std::size_t, std::size_t>> build_ranges(
   if (!std::is_sorted(rows.begin(), rows.end(), less)) {
     std::sort(rows.begin(), rows.end(), less);
   }
-  std::unordered_map<ServerId, std::pair<std::size_t, std::size_t>> ranges;
-  std::size_t begin = 0;
-  for (std::size_t i = 0; i <= rows.size(); ++i) {
-    if (i == rows.size() || (i > begin && rows[i].server != rows[begin].server)) {
-      if (i > begin) ranges[rows[begin].server] = {begin, i};
-      begin = i;
-    }
-  }
-  return ranges;
+  return server_offsets(rows, servers, [](const Row&) { return true; });
+}
+
+// Server s's entries of a CSR index, or an empty range for an invalid or
+// out-of-range id.
+std::pair<std::size_t, std::size_t> csr_range(
+    const std::vector<std::size_t>& offsets, ServerId id) {
+  const auto s = static_cast<std::size_t>(id.value);
+  if (!id.valid() || s + 1 >= offsets.size()) return {0, 0};
+  return {offsets[s], offsets[s + 1]};
 }
 
 }  // namespace
@@ -154,18 +172,23 @@ void TraceDatabase::finalize() {
             "TraceDatabase::finalize: consolidation must be >= 1");
   }
 
-  usage_ranges_ =
-      build_ranges(weekly_usage_, [](const WeeklyUsage& u) { return u.week; });
-  power_ranges_ =
-      build_ranges(power_events_, [](const PowerEvent& e) { return e.at; });
-  snapshot_ranges_ = build_ranges(
-      snapshots_, [](const MonthlySnapshot& s) { return s.month; });
+  const std::size_t servers = servers_.size();
+  usage_offsets_ = sort_by_server(weekly_usage_, servers,
+                                  [](const WeeklyUsage& u) { return u.week; });
+  power_offsets_ = sort_by_server(power_events_, servers,
+                                  [](const PowerEvent& e) { return e.at; });
+  snapshot_offsets_ = sort_by_server(
+      snapshots_, servers, [](const MonthlySnapshot& s) { return s.month; });
 
-  crash_by_server_.clear();
+  crash_offsets_ = server_offsets(tickets_, servers,
+                                  [](const Ticket& t) { return t.is_crash; });
+  crash_index_.resize(crash_offsets_[servers]);
+  std::vector<std::size_t> next(crash_offsets_.begin(),
+                                crash_offsets_.end() - 1);
   for (std::size_t i = 0; i < tickets_.size(); ++i) {
-    if (tickets_[i].is_crash) {
-      crash_by_server_[tickets_[i].server].push_back(i);
-    }
+    const Ticket& t = tickets_[i];
+    if (!t.is_crash) continue;
+    crash_index_[next[static_cast<std::size_t>(t.server.value)]++] = i;
   }
   finalized_ = true;
 }
@@ -198,11 +221,12 @@ std::vector<const Ticket*> TraceDatabase::crash_tickets() const {
 std::vector<const Ticket*> TraceDatabase::crash_tickets_for(
     ServerId id) const {
   require_finalized();
+  const auto [begin, end] = csr_range(crash_offsets_, id);
   std::vector<const Ticket*> out;
-  const auto it = crash_by_server_.find(id);
-  if (it == crash_by_server_.end()) return out;
-  out.reserve(it->second.size());
-  for (std::size_t idx : it->second) out.push_back(&tickets_[idx]);
+  out.reserve(end - begin);
+  for (std::size_t i = begin; i < end; ++i) {
+    out.push_back(&tickets_[crash_index_[i]]);
+  }
   return out;
 }
 
@@ -259,28 +283,22 @@ std::vector<std::vector<const Ticket*>> TraceDatabase::incidents() const {
 std::span<const WeeklyUsage> TraceDatabase::weekly_usage_for(
     ServerId id) const {
   require_finalized();
-  const auto it = usage_ranges_.find(id);
-  if (it == usage_ranges_.end()) return {};
-  return {weekly_usage_.data() + it->second.first,
-          it->second.second - it->second.first};
+  const auto [begin, end] = csr_range(usage_offsets_, id);
+  return {weekly_usage_.data() + begin, end - begin};
 }
 
 std::span<const PowerEvent> TraceDatabase::power_events_for(
     ServerId id) const {
   require_finalized();
-  const auto it = power_ranges_.find(id);
-  if (it == power_ranges_.end()) return {};
-  return {power_events_.data() + it->second.first,
-          it->second.second - it->second.first};
+  const auto [begin, end] = csr_range(power_offsets_, id);
+  return {power_events_.data() + begin, end - begin};
 }
 
 std::span<const MonthlySnapshot> TraceDatabase::snapshots_for(
     ServerId id) const {
   require_finalized();
-  const auto it = snapshot_ranges_.find(id);
-  if (it == snapshot_ranges_.end()) return {};
-  return {snapshots_.data() + it->second.first,
-          it->second.second - it->second.first};
+  const auto [begin, end] = csr_range(snapshot_offsets_, id);
+  return {snapshots_.data() + begin, end - begin};
 }
 
 std::vector<bool> TraceDatabase::power_series_for(

@@ -115,21 +115,8 @@ inline std::vector<std::vector<double>> seed_plus_plus(
   const auto n = static_cast<std::int64_t>(points.size());
   std::vector<double> d2(points.size(),
                          std::numeric_limits<double>::infinity());
-  if (options.anchors.empty()) {
-    centroids.push_back(
-        points[static_cast<std::size_t>(rng.uniform_int(0, n - 1))]);
-  } else {
-    for (const auto& anchor : options.anchors) {
-      if (static_cast<int>(centroids.size()) >= k) break;
-      centroids.push_back(anchor);
-    }
-    if (static_cast<int>(centroids.size()) >= k) return centroids;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      for (const auto& c : centroids) {
-        d2[i] = std::min(d2[i], stats::simd::squared_distance(points[i], c));
-      }
-    }
-  }
+  centroids.push_back(
+      points[static_cast<std::size_t>(rng.uniform_int(0, n - 1))]);
   while (static_cast<int>(centroids.size()) < k) {
     for (std::size_t i = 0; i < points.size(); ++i) {
       d2[i] = std::min(

@@ -19,6 +19,7 @@
 #include "src/sim/simulator.h"
 #include "src/trace/chunk.h"
 #include "src/trace/csv_io.h"
+#include "src/trace/fingerprint.h"
 #include "src/trace/sanitize.h"
 #include "src/trace/trace_writer.h"
 #include "src/util/error.h"
@@ -597,6 +598,81 @@ TEST_F(ColumnarIoTest, OutOfCoreSummaryMatchesInMemory) {
 
   // Buffered reads must agree with the mmap path too.
   EXPECT_EQ(analysis::summarize_columnar(path("trace.fac"), false), in_memory);
+}
+
+// Resident file-backed memory of this process in bytes: RssFile, plus
+// RssShmem, where a mapped file on tmpfs is counted.
+std::int64_t resident_file_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::int64_t total = 0;
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("RssFile:", 0) == 0 || line.rfind("RssShmem:", 0) == 0) {
+      total += std::stoll(line.substr(line.find(':') + 1)) * 1024;
+    }
+  }
+  return total;
+}
+
+// Streaming a mapped table must not leave its chunks resident: the checksum
+// pass touches every byte of a chunk, and for_each_chunk gives the pages
+// back once the callback returns. So the process's file-backed RSS grows by
+// well under the table's bytes; without the release it grows by about all
+// of them.
+TEST_F(ColumnarIoTest, ForEachChunkReleasesMappedChunks) {
+  {
+    ColumnarTraceWriter writer(path("big.fac"), 16384);
+    sim::simulate_to(sim::SimulationConfig::paper_defaults().scaled(0.7),
+                     writer);
+  }
+  ASSERT_GE(fs::file_size(dir_ / "big.fac"), std::uintmax_t{16} << 20);
+  const ChunkReader reader(path("big.fac"));
+  ASSERT_TRUE(reader.mmapped());
+  const columnar::Table table = columnar::Table::kTickets;
+  ASSERT_GE(reader.chunk_count(table), 4u);
+  std::int64_t table_bytes = 0;
+  for (std::size_t i = 0; i < reader.chunk_count(table); ++i) {
+    table_bytes += static_cast<std::int64_t>(reader.chunk_info(table, i).size);
+  }
+
+  std::uint64_t rows = 0;
+  const std::int64_t before = resident_file_bytes();
+  analysis::for_each_chunk(reader, table, [&](const columnar::ChunkView& v) {
+    rows += v.rows();
+  });
+  const std::int64_t grew = resident_file_bytes() - before;
+  EXPECT_EQ(rows, reader.row_count(table));
+  EXPECT_LT(grew, table_bytes / 2)
+      << "resident file bytes grew by " << grew << " reading a "
+      << table_bytes << "-byte table";
+}
+
+// A background ticket may name no server (finalize allows it, and sanitize
+// produces such tickets). The lenient loader must keep it as the strict one
+// does instead of counting it as a dangling row.
+TEST_F(ColumnarIoTest, LenientLoadKeepsServerlessBackgroundTicket) {
+  fa::testing::TinyDbBuilder b;
+  const ServerId pm = b.add_pm(0);
+  b.add_crash(pm, 3.0, 2.0);
+  b.add_background(pm, 4.0);
+  Ticket serverless;
+  serverless.is_crash = false;
+  serverless.opened = ticket_window().begin + from_days(5.0);
+  serverless.closed = serverless.opened + from_hours(1.0);
+  serverless.description = "disk space warning";
+  serverless.resolution = "closed after review";
+  b.raw().add_ticket(serverless);
+  save_columnar(b.finish(), path("serverless.fac"));
+
+  const TraceDatabase strict = load_columnar(path("serverless.fac"));
+  DegradedReadReport report;
+  const TraceDatabase lenient =
+      load_columnar_lenient(path("serverless.fac"), report);
+  EXPECT_EQ(report.rows_dropped_dangling, 0u);
+  EXPECT_FALSE(report.degraded()) << report.to_string();
+  ASSERT_EQ(lenient.tickets().size(), 3u);
+  EXPECT_FALSE(lenient.tickets().back().server.valid());
+  EXPECT_EQ(fingerprint(lenient), fingerprint(strict));
 }
 
 // ---- sanitize degradation (satellite: quarantine stability) ----

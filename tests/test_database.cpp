@@ -169,6 +169,36 @@ TEST(Database, WeeklyUsageSortedSpan) {
   EXPECT_TRUE(db.weekly_usage_for(ServerId{5}).empty());
 }
 
+// The per-server indexes are flat arrays over the dense server ids: an
+// invalid id, or one past the last server, must read as "no rows", never
+// index out of bounds.
+TEST(Database, PerServerLookupsOfUnknownIdsAreEmpty) {
+  fa::testing::TinyDbBuilder b;
+  const ServerId pm = b.add_pm(0);
+  const ServerId vm = b.add_vm(0);
+  b.add_crash(vm, 3.0, 1.0);
+  b.raw().add_weekly_usage({vm, 0, 10.0, 20.0, {}, {}});
+  b.raw().add_power_event({vm, onoff_window().begin + 60, false});
+  b.raw().add_monthly_snapshot({vm, 0, BoxId{0}, 4});
+  const auto db = b.finish();
+
+  EXPECT_EQ(db.crash_tickets_for(vm).size(), 1u);
+  EXPECT_EQ(db.weekly_usage_for(vm).size(), 1u);
+  EXPECT_EQ(db.power_events_for(vm).size(), 1u);
+  EXPECT_EQ(db.snapshots_for(vm).size(), 1u);
+  // A loaded server with no rows.
+  EXPECT_TRUE(db.crash_tickets_for(pm).empty());
+  EXPECT_TRUE(db.weekly_usage_for(pm).empty());
+
+  for (const ServerId id : {ServerId{}, ServerId{-7}, ServerId{2},
+                            ServerId{1000}}) {
+    EXPECT_TRUE(db.crash_tickets_for(id).empty()) << id.value;
+    EXPECT_TRUE(db.weekly_usage_for(id).empty()) << id.value;
+    EXPECT_TRUE(db.power_events_for(id).empty()) << id.value;
+    EXPECT_TRUE(db.snapshots_for(id).empty()) << id.value;
+  }
+}
+
 TEST(Database, PowerSeriesReconstructsState) {
   fa::testing::TinyDbBuilder b;
   const ServerId s = b.add_vm(0);

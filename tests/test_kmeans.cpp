@@ -121,25 +121,6 @@ TEST(KMeans, RejectsBadArguments) {
   no_columns.append_row({}, {});
   no_columns.append_row({}, {});
   EXPECT_THROW(kmeans(no_columns, options, rng), Error);
-
-  // Anchors must have one entry per column of the points.
-  options.anchors = {{1.0, 2.0}};
-  EXPECT_THROW(kmeans(sparse(points), options, rng), Error);
-}
-
-TEST(KMeans, AnchorsFillingAllClustersSeedEveryCentroid) {
-  // k anchors leave nothing for k-means++ to draw; seeding must use them
-  // as-is (and skip its distance-initialization pass entirely).
-  const std::vector<std::vector<double>> points = {
-      {0.0, 0.0}, {0.5, 0.0}, {10.0, 0.0}, {10.5, 0.0}};
-  KMeansOptions options;
-  options.k = 2;
-  options.restarts = 1;
-  options.anchors = {{0.0, 0.0}, {10.0, 0.0}};
-  Rng rng(10);
-  const auto result = kmeans(sparse(points), options, rng);
-  EXPECT_EQ(result.assignment, (std::vector<int>{0, 0, 1, 1}));
-  EXPECT_TRUE(result.converged);
 }
 
 TEST(KMeans, RestartsPickLowestInertia) {

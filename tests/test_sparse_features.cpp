@@ -145,7 +145,7 @@ TEST(SparseKMeans, MatchesDenseOnSeparatedSparseBlobs) {
   }
 }
 
-// An anchored 24-cluster configuration over the TF-IDF of every ticket
+// A 24-cluster configuration over the TF-IDF of every ticket
 // description, dense oracle vs sparse, on the simulated corpus: identical
 // assignments at 1, 2 and 8 threads.
 TEST(SparseKMeans, CrashExtractionConfigurationMatchesDense) {
@@ -163,7 +163,6 @@ TEST(SparseKMeans, CrashExtractionConfigurationMatchesDense) {
   stats::KMeansOptions km;
   km.k = 24;
   km.restarts = 3;
-  km.anchors.push_back(dense.front());
 
   Rng dense_rng(31);
   const auto reference = testing::dense_kmeans(dense, km, dense_rng);
@@ -264,28 +263,6 @@ TEST(SparseClassification, LabelsAndAccuracyMatchDenseReference) {
         << threads << " threads";
   }
   ThreadPool::set_default_thread_count(0);
-}
-
-// The anchors-fill-k fast path must behave like plain anchored seeding:
-// every centroid starts at its anchor and no k-means++ draw happens.
-TEST(SparseKMeans, AnchorsFillingAllClustersSkipSeedingDraws) {
-  stats::SparseMatrix points(2);
-  for (int i = 0; i < 8; ++i) {
-    const std::vector<std::uint32_t> idx = {0, 1};
-    const std::vector<double> val = {static_cast<double>(i % 2) * 10.0,
-                                     static_cast<double>(i / 4) * 10.0};
-    points.append_row(idx, val);
-  }
-  stats::KMeansOptions options;
-  options.k = 2;
-  options.restarts = 1;
-  options.anchors = {{0.0, 0.0}, {10.0, 0.0}};
-  Rng r1(5), r2(5);
-  const auto sparse_run = stats::kmeans(points, options, r1);
-  const auto dense_run =
-      testing::dense_kmeans(testing::densify(points), options, r2);
-  EXPECT_EQ(sparse_run.assignment, dense_run.assignment);
-  EXPECT_NEAR(sparse_run.inertia, dense_run.inertia, 1e-9);
 }
 
 }  // namespace
