@@ -50,7 +50,10 @@ BinnedRates capacity_binned_rates(
 
 // Failure rate vs. a weekly usage value: each server-week lands in the bin
 // of its recorded usage that week; failures are attributed to the bin of the
-// (server, week) they occurred in.
+// (server, week) they occurred in (the last binned row of a week with
+// duplicate rows). The monitoring rows are binned on the global ThreadPool
+// in fixed server blocks, so `attribute` runs concurrently and must not
+// mutate shared state; the result is identical at any thread count.
 BinnedRates usage_binned_rates(const trace::TraceDatabase& db,
                                std::span<const trace::Ticket* const> failures,
                                const Scope& scope,

@@ -553,7 +553,8 @@ const ChunkInfo& ChunkReader::chunk_info(Table table,
   return chunks[index];
 }
 
-ChunkView ChunkReader::chunk(Table table, std::size_t index) const {
+ChunkReader::ChunkBytes ChunkReader::fetch(Table table,
+                                          std::size_t index) const {
   const ChunkInfo& info = chunk_info(table, index);
   chunks_read_counter().add(1);
   if (info.offset > file_size_ || info.size > file_size_ - info.offset) {
@@ -561,38 +562,39 @@ ChunkView ChunkReader::chunk(Table table, std::size_t index) const {
                      ReadDefect::kTruncated,
                      "chunk escapes the file (truncated)");
   }
-  const auto decode = [&](const std::byte* base,
-                          std::vector<std::byte> owned) -> ChunkView {
-    try {
-      return ChunkView(table, info, base, std::move(owned));
-    } catch (const Error& e) {
-      throw ChunkError(path_, table, index, info.offset, info.size,
-                       ReadDefect::kDecodeError, e.what());
-    }
-  };
+  ChunkBytes bytes{table, index, nullptr, {}};
   if (mapping_ != nullptr) {
-    const std::byte* base = mapping_ + info.offset;
-    if (fnv1a(base, info.size) != info.checksum) {
-      throw ChunkError(path_, table, index, info.offset, info.size,
-                       ReadDefect::kChecksumMismatch,
-                       "checksum mismatch (corrupt)");
-    }
-    return decode(base, {});
+    bytes.base = mapping_ + info.offset;
+    return bytes;
   }
-  std::vector<std::byte> owned(info.size);
+  bytes.owned.resize(info.size);
   try {
-    reader_->read_at(info.offset, owned.data(), owned.size());
+    reader_->read_at(info.offset, bytes.owned.data(), bytes.owned.size());
   } catch (const io::IoError& e) {
     throw ChunkError(path_, table, index, info.offset, info.size,
                      ReadDefect::kIoError, e.what());
   }
-  if (fnv1a(owned.data(), owned.size()) != info.checksum) {
-    throw ChunkError(path_, table, index, info.offset, info.size,
+  bytes.base = bytes.owned.data();
+  return bytes;
+}
+
+ChunkView ChunkReader::verify(ChunkBytes bytes) const {
+  const ChunkInfo& info = chunk_info(bytes.table, bytes.index);
+  if (fnv1a(bytes.base, info.size) != info.checksum) {
+    throw ChunkError(path_, bytes.table, bytes.index, info.offset, info.size,
                      ReadDefect::kChecksumMismatch,
                      "checksum mismatch (corrupt)");
   }
-  const std::byte* base = owned.data();
-  return decode(base, std::move(owned));
+  try {
+    return ChunkView(bytes.table, info, bytes.base, std::move(bytes.owned));
+  } catch (const Error& e) {
+    throw ChunkError(path_, bytes.table, bytes.index, info.offset, info.size,
+                     ReadDefect::kDecodeError, e.what());
+  }
+}
+
+ChunkView ChunkReader::chunk(Table table, std::size_t index) const {
+  return verify(fetch(table, index));
 }
 
 std::optional<ChunkView> ChunkReader::try_chunk(
@@ -918,25 +920,32 @@ enum class BadChunk {
   kStop,   // lenient: record it and read no further chunks
 };
 
-// The chunk decoder both loaders share. Chunks of `table` are read and
-// checksummed serially in index order, kLoadWaveChunks at a time; then the
-// wave's rows are decoded in parallel, one task per chunk, chunk i into
-// rows_for(i), a span exactly as long as the chunk (requested in index
-// order, right after the chunk is read). Once the decode has joined, the
-// wave's pages are released and wave_done, if set, runs. A row that fails
-// to decode, or under kThrow a chunk that fails to read, throws the error
-// of the lowest-index failing chunk at any thread count. Returns the index
-// of the chunk a kStop halted at, else the chunk count.
+// The chunk decoder both loaders share. Chunks of `table` go
+// kLoadWaveChunks at a time. A wave's chunks are fetched serially in index
+// order (so buffered reads keep their order), each followed by
+// rows_for(i), a span exactly as long as chunk i; then one parallel task
+// per chunk verifies it and decodes its rows into that span. Once the wave
+// has joined, its outcomes are settled in index order: the first failing
+// chunk's ChunkError is thrown (kThrow), or recorded and skipped (kSkip),
+// or recorded and ends the read (kStop); an error decoding a verified
+// chunk's rows is thrown under every policy. So the error thrown is always
+// that of the lowest-index failing chunk, at any thread count. The wave's
+// pages are then released and wave_done, if set, gets the row spans of
+// the decoded chunks in index order. Returns the index of the chunk a
+// kStop halted at, else the chunk count.
 template <typename Row>
 std::size_t decode_table(
     const ChunkReader& reader, Table table, BadChunk on_bad,
     DegradedReadReport* report,
     const std::function<std::span<Row>(std::size_t)>& rows_for,
-    const std::function<void()>& wave_done = nullptr) {
+    const std::function<void(std::span<const std::span<Row>>)>& wave_done =
+        nullptr) {
   struct Job {
-    ChunkView view;
+    std::size_t index;
     std::int64_t first_row;
+    std::optional<ChunkReader::ChunkBytes> bytes;
     std::span<Row> rows;
+    std::exception_ptr error;
   };
   const std::size_t chunks = reader.chunk_count(table);
   std::int64_t first_row = 0;
@@ -944,42 +953,50 @@ std::size_t decode_table(
     const std::size_t last = std::min(chunks, first + kLoadWaveChunks);
     std::vector<Job> jobs;
     jobs.reserve(last - first);
-    std::exception_ptr read_error;
-    std::size_t halted = chunks;
     for (std::size_t i = first; i < last; ++i) {
-      const std::uint32_t rows = reader.chunk_info(table, i).rows;
-      std::optional<ChunkView> view;
+      Job& job = jobs.emplace_back(Job{i, first_row, {}, {}, {}});
+      first_row += reader.chunk_info(table, i).rows;
       try {
-        view.emplace(reader.chunk(table, i));
-      } catch (const ChunkError& e) {
-        if (on_bad == BadChunk::kThrow) {
-          read_error = std::current_exception();
-          break;
-        }
-        report->record(e, rows);
-        if (on_bad == BadChunk::kStop) {
-          halted = i;
-          break;
-        }
+        job.bytes.emplace(reader.fetch(table, i));
+      } catch (const ChunkError&) {
+        job.error = std::current_exception();
+        // Only kSkip can use a chunk after a failed one.
+        if (on_bad != BadChunk::kSkip) break;
+        continue;
       }
-      if (view) jobs.push_back({std::move(*view), first_row, rows_for(i)});
-      first_row += rows;
+      job.rows = rows_for(i);
     }
-    std::vector<std::exception_ptr> errors(jobs.size());
     parallel_for(jobs.size(), [&](std::size_t j) {
       Job& job = jobs[j];
+      if (job.error) return;
       try {
-        decode_rows(job.view, 0, job.first_row, job.rows);
+        const ChunkView view = reader.verify(std::move(*job.bytes));
+        decode_rows(view, 0, job.first_row, job.rows);
       } catch (...) {
-        errors[j] = std::current_exception();
+        job.error = std::current_exception();
       }
     });
-    for (const std::exception_ptr& error : errors) {
-      if (error) std::rethrow_exception(error);
+    std::vector<std::span<Row>> decoded;
+    decoded.reserve(jobs.size());
+    std::size_t halted = chunks;
+    for (const Job& job : jobs) {
+      if (job.error) {
+        try {
+          std::rethrow_exception(job.error);
+        } catch (const ChunkError& e) {
+          if (on_bad == BadChunk::kThrow) throw;
+          report->record(e, reader.chunk_info(table, job.index).rows);
+          if (on_bad == BadChunk::kStop) {
+            halted = job.index;
+            break;
+          }
+          continue;
+        }
+      }
+      decoded.push_back(job.rows);
     }
-    if (read_error) std::rethrow_exception(read_error);
     reader.release(table, first, last);
-    if (wave_done) wave_done();
+    if (wave_done) wave_done(decoded);
     if (halted != chunks) return halted;
   }
   return chunks;
@@ -1011,16 +1028,17 @@ template <typename Row, typename Keep>
 std::size_t stage_table(const ChunkReader& reader, Table table,
                         BadChunk on_bad, DegradedReadReport& report,
                         const Keep& keep) {
-  // One staging vector per chunk of the wave. Growing `wave` moves the
-  // inner vectors, which keeps their buffers, so handed-out spans stay valid.
+  // One staging vector per fetched chunk of the wave. Growing `wave` moves
+  // the inner vectors, which keeps their buffers, so handed-out spans stay
+  // valid.
   std::vector<std::vector<Row>> wave;
   return decode_table<Row>(
       reader, table, on_bad, &report,
       [&](std::size_t i) -> std::span<Row> {
         return wave.emplace_back(reader.chunk_info(table, i).rows);
       },
-      [&] {
-        for (std::vector<Row>& rows : wave) {
+      [&](std::span<const std::span<Row>> decoded) {
+        for (const std::span<Row> rows : decoded) {
           for (Row& row : rows) keep(std::move(row));
         }
         wave.clear();

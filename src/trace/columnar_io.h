@@ -233,8 +233,26 @@ class ChunkReader {
   const columnar::ChunkInfo& chunk_info(columnar::Table table,
                                         std::size_t index) const;
   // Decodes chunk `index` of `table`, verifying its checksum. Throws
-  // ChunkError on damage.
+  // ChunkError on damage. The same as verify(fetch(table, index)).
   columnar::ChunkView chunk(columnar::Table table, std::size_t index) const;
+
+  // A chunk's bytes as fetch() found them, not yet verified: `base` points
+  // into the mapping (mmap mode) or at `owned` (buffered mode).
+  struct ChunkBytes {
+    columnar::Table table;
+    std::size_t index = 0;
+    const std::byte* base = nullptr;
+    std::vector<std::byte> owned;
+  };
+  // The first step of chunk(): locates chunk `index` of `table` and, in
+  // buffered mode, reads its bytes. Throws ChunkError (kTruncated,
+  // kIoError). Buffered reads share one file, so calls must not overlap.
+  ChunkBytes fetch(columnar::Table table, std::size_t index) const;
+  // The second step: checks the checksum and parses the column blocks.
+  // Throws ChunkError (kChecksumMismatch, kDecodeError). Touches only the
+  // chunk's own bytes, so calls on different chunks may run concurrently
+  // (the loaders verify a wave's chunks on the pool).
+  columnar::ChunkView verify(ChunkBytes bytes) const;
   // Lenient variant: a damaged chunk yields std::nullopt instead of
   // throwing, recorded in `report` (which may be nullptr).
   std::optional<columnar::ChunkView> try_chunk(

@@ -6,6 +6,7 @@
 #include <type_traits>
 
 #include "src/util/error.h"
+#include "src/util/thread_pool.h"
 
 namespace fa::trace {
 namespace {
@@ -25,20 +26,87 @@ std::vector<std::size_t> server_offsets(const std::vector<Row>& rows,
   return offsets;
 }
 
-// Sorts `rows` by (server, key) and returns their server_offsets.
-template <typename Row, typename Key>
-std::vector<std::size_t> sort_by_server(std::vector<Row>& rows,
-                                        std::size_t servers, Key key) {
-  const auto less = [&](const Row& a, const Row& b) {
-    if (a.server != b.server) return a.server < b.server;
-    return key(a) < key(b);
-  };
-  // Loaders and the simulator emit rows grouped by server already; skip the
-  // sort when the order holds.
-  if (!std::is_sorted(rows.begin(), rows.end(), less)) {
-    std::sort(rows.begin(), rows.end(), less);
+// Rows per parallel task of finalize's monitoring-table scan. A fixed
+// block size keeps the task count, and so the pool's work counts,
+// independent of the thread count.
+constexpr std::size_t kScanBlock = std::size_t{1} << 16;
+
+// What one pass over a monitoring table found.
+struct TableScan {
+  // Message of the lowest-index row that fails validation, or null.
+  const char* error = nullptr;
+  // Whether the rows are in (server, key) order.
+  bool sorted = true;
+  // (row, server) of each row whose server differs from the previous
+  // row's, in row order; complete only when `sorted`.
+  std::vector<std::pair<std::size_t, std::int32_t>> starts;
+};
+
+// One pass over `rows` in fixed blocks on the global pool: validates each
+// row with `check` (its failure message, or null), tests the (server, key)
+// order against the previous row, and records where each server's rows
+// start. The result is the same at any thread count.
+template <typename Row, typename Key, typename Check>
+TableScan scan_rows(const std::vector<Row>& rows, Key key, Check check) {
+  const std::size_t blocks = (rows.size() + kScanBlock - 1) / kScanBlock;
+  std::vector<TableScan> parts(blocks);
+  parallel_for(blocks, [&](std::size_t block) {
+    TableScan& part = parts[block];
+    const std::size_t end = std::min(rows.size(), (block + 1) * kScanBlock);
+    for (std::size_t i = block * kScanBlock; i < end; ++i) {
+      const Row& row = rows[i];
+      if (const char* error = check(row)) {
+        part.error = error;
+        return;
+      }
+      if (i > 0 && row.server == rows[i - 1].server) {
+        if (key(row) < key(rows[i - 1])) part.sorted = false;
+        continue;
+      }
+      if (i > 0 && row.server < rows[i - 1].server) part.sorted = false;
+      if (part.sorted) part.starts.emplace_back(i, row.server.value);
+    }
+  });
+  TableScan scan;
+  for (TableScan& part : parts) {
+    if (part.error != nullptr) {
+      scan.error = part.error;
+      break;
+    }
+    scan.sorted = scan.sorted && part.sorted;
+    if (scan.sorted) {
+      scan.starts.insert(scan.starts.end(), part.starts.begin(),
+                         part.starts.end());
+    }
   }
-  return server_offsets(rows, servers, [](const Row&) { return true; });
+  return scan;
+}
+
+// Returns the CSR offsets over `servers` dense ids of `rows`, which `scan`
+// validated, sorting them by (server, key) first if `scan` found them out
+// of order. Loaders and the simulator emit rows in order, so the serial
+// sort is for other input only.
+template <typename Row, typename Key>
+std::vector<std::size_t> index_by_server(std::vector<Row>& rows,
+                                         const TableScan& scan,
+                                         std::size_t servers, Key key) {
+  if (!scan.sorted) {
+    std::sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
+      if (a.server != b.server) return a.server < b.server;
+      return key(a) < key(b);
+    });
+    return server_offsets(rows, servers, [](const Row&) { return true; });
+  }
+  // A server's range starts where its first row does; servers without
+  // rows get an empty range at the next server's start, or at the end.
+  std::vector<std::size_t> offsets(servers + 1, rows.size());
+  std::size_t next = 0;
+  for (const auto& [row, server] : scan.starts) {
+    for (; next <= static_cast<std::size_t>(server); ++next) {
+      offsets[next] = row;
+    }
+  }
+  return offsets;
 }
 
 // Server s's entries of a CSR index, or an empty range for an invalid or
@@ -164,21 +232,43 @@ void TraceDatabase::finalize() {
     require(t.closed >= t.opened,
             "TraceDatabase::finalize: ticket closed before opened");
   }
-  for (const WeeklyUsage& u : weekly_usage_) check_server(u.server, "usage");
-  for (const PowerEvent& e : power_events_) check_server(e.server, "power");
-  for (const MonthlySnapshot& s : snapshots_) {
-    check_server(s.server, "snapshot");
-    require(s.consolidation >= 1,
-            "TraceDatabase::finalize: consolidation must be >= 1");
-  }
+  // The monitoring tables are validated, order-checked and indexed in one
+  // parallel pass each; a failure throws the message the first failing row
+  // of the first failing table gives, as a serial row loop would.
+  const auto dangling = [&](ServerId id) {
+    return !id.valid() || id.value >= n_servers;
+  };
+  const auto week = [](const WeeklyUsage& u) { return u.week; };
+  const auto at = [](const PowerEvent& e) { return e.at; };
+  const auto month = [](const MonthlySnapshot& s) { return s.month; };
+  const TableScan usage =
+      scan_rows(weekly_usage_, week, [&](const WeeklyUsage& u) {
+        return dangling(u.server)
+                   ? "TraceDatabase::finalize: dangling server id in usage"
+                   : nullptr;
+      });
+  require(usage.error == nullptr, usage.error);
+  const TableScan power = scan_rows(power_events_, at, [&](const PowerEvent& e) {
+    return dangling(e.server)
+               ? "TraceDatabase::finalize: dangling server id in power"
+               : nullptr;
+  });
+  require(power.error == nullptr, power.error);
+  const TableScan snapshots =
+      scan_rows(snapshots_, month, [&](const MonthlySnapshot& s) {
+        if (dangling(s.server)) {
+          return "TraceDatabase::finalize: dangling server id in snapshot";
+        }
+        return s.consolidation >= 1
+                   ? nullptr
+                   : "TraceDatabase::finalize: consolidation must be >= 1";
+      });
+  require(snapshots.error == nullptr, snapshots.error);
 
   const std::size_t servers = servers_.size();
-  usage_offsets_ = sort_by_server(weekly_usage_, servers,
-                                  [](const WeeklyUsage& u) { return u.week; });
-  power_offsets_ = sort_by_server(power_events_, servers,
-                                  [](const PowerEvent& e) { return e.at; });
-  snapshot_offsets_ = sort_by_server(
-      snapshots_, servers, [](const MonthlySnapshot& s) { return s.month; });
+  usage_offsets_ = index_by_server(weekly_usage_, usage, servers, week);
+  power_offsets_ = index_by_server(power_events_, power, servers, at);
+  snapshot_offsets_ = index_by_server(snapshots_, snapshots, servers, month);
 
   crash_offsets_ = server_offsets(tickets_, servers,
                                   [](const Ticket& t) { return t.is_crash; });

@@ -3,6 +3,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -10,6 +12,7 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -645,6 +648,61 @@ TEST_F(ColumnarIoTest, ForEachChunkReleasesMappedChunks) {
   EXPECT_LT(grew, table_bytes / 2)
       << "resident file bytes grew by " << grew << " reading a "
       << table_bytes << "-byte table";
+}
+
+// load_columnar maps the whole file but gives each load wave's pages back
+// once the wave is decoded, so at no point during the load is more than
+// about one wave of the file resident. The peak is sampled from a second
+// thread, because the mapping is gone when the load returns; without the
+// release the file-backed RSS climbs to about the whole file.
+TEST_F(ColumnarIoTest, LoadColumnarReleasesMappedWaves) {
+  {
+    ColumnarTraceWriter writer(path("waves.fac"), 4096);
+    sim::simulate_to(sim::SimulationConfig::paper_defaults().scaled(0.7),
+                     writer);
+  }
+  const auto file_bytes =
+      static_cast<std::int64_t>(fs::file_size(dir_ / "waves.fac"));
+  ASSERT_GE(file_bytes, std::int64_t{16} << 20);
+  // The loader's wave: 8 consecutive chunks of one table.
+  constexpr std::size_t kWaveChunks = 8;
+  std::int64_t wave_bytes = 0;
+  {
+    const ChunkReader reader(path("waves.fac"));
+    ASSERT_TRUE(reader.mmapped());
+    for (const columnar::Table table : columnar::kAllTables) {
+      const std::size_t chunks = reader.chunk_count(table);
+      for (std::size_t first = 0; first < chunks; first += kWaveChunks) {
+        std::int64_t bytes = 0;
+        for (std::size_t i = first; i < std::min(chunks, first + kWaveChunks);
+             ++i) {
+          bytes += static_cast<std::int64_t>(reader.chunk_info(table, i).size);
+        }
+        wave_bytes = std::max(wave_bytes, bytes);
+      }
+    }
+  }
+  ASSERT_LT(wave_bytes * 4, file_bytes);  // the file spans many waves
+
+  const std::int64_t before = resident_file_bytes();
+  std::atomic<bool> done{false};
+  std::int64_t peak = before;
+  std::thread sampler([&] {
+    while (!done.load()) {
+      peak = std::max(peak, resident_file_bytes());
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  });
+  const TraceDatabase db = load_columnar(path("waves.fac"));
+  done.store(true);
+  sampler.join();
+  EXPECT_GT(db.tickets().size(), 0u);
+  // One wave plus 1 MiB for pages shared with neighbouring chunks, the
+  // footer, and code the load touches for the first time.
+  EXPECT_LT(peak - before, wave_bytes + (std::int64_t{1} << 20))
+      << "resident file bytes peaked " << (peak - before)
+      << " above the start loading a " << file_bytes
+      << "-byte file whose largest wave is " << wave_bytes << " bytes";
 }
 
 // A background ticket may name no server (finalize allows it, and sanitize

@@ -2,11 +2,69 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "src/util/error.h"
+#include "src/util/thread_pool.h"
 #include "tests/test_support.h"
 
 namespace fa::trace {
 namespace {
+
+// finalize()'s error message, or "" when it succeeds.
+std::string finalize_error(TraceDatabase& db) {
+  try {
+    db.finalize();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// finalize() scans the monitoring tables in blocks of this many rows; the
+// tests below place rows on both sides of block boundaries.
+constexpr int kBlockRows = 1 << 16;
+// Servers of the multi-block databases below: ~185k usage rows.
+constexpr int kServers = 8000;
+
+struct MonitoringRows {
+  std::vector<WeeklyUsage> usage;
+  std::vector<PowerEvent> power;
+  std::vector<MonthlySnapshot> snapshots;
+};
+
+// Rows for `servers` servers, in (server, time) order, spanning several
+// scan blocks: servers whose id is a multiple of 7 have none, the others
+// up to 53 usage weeks, a few power events and up to 23 snapshots.
+MonitoringRows monitoring_rows(int servers) {
+  MonitoringRows rows;
+  for (int s = 0; s < servers; ++s) {
+    if (s % 7 == 0) continue;
+    const ServerId id{s};
+    for (int w = 0; w < 1 + s % 53; ++w) {
+      rows.usage.push_back({id, w, static_cast<double>(w), 1.0, {}, {}});
+    }
+    for (int e = 0; e < s % 5; ++e) {
+      rows.power.push_back({id, onoff_window().begin + 60 * e, e % 2 == 0});
+    }
+    for (int m = 0; m < s % 24; ++m) {
+      rows.snapshots.push_back({id, m, BoxId{0}, 1 + m});
+    }
+  }
+  return rows;
+}
+
+TraceDatabase database_with(int servers, const MonitoringRows& rows) {
+  TraceDatabase db;
+  for (int s = 0; s < servers; ++s) db.add_server(ServerRecord{});
+  for (const WeeklyUsage& u : rows.usage) db.add_weekly_usage(u);
+  for (const PowerEvent& e : rows.power) db.add_power_event(e);
+  for (const MonthlySnapshot& m : rows.snapshots) db.add_monthly_snapshot(m);
+  return db;
+}
 
 TEST(Database, AssignsContiguousIds) {
   fa::testing::TinyDbBuilder b;
@@ -244,6 +302,127 @@ TEST(Database, SnapshotConsolidationValidation) {
   const ServerId s = b.add_vm(0);
   b.raw().add_monthly_snapshot({s, 0, BoxId{0}, 0});  // invalid level
   EXPECT_THROW(b.raw().finalize(), Error);
+}
+
+// finalize() validates the tables in parallel blocks but must throw what a
+// serial row loop would: the first failing table in the order tickets,
+// usage, power, snapshots, and within it the lowest failing row.
+TEST(Database, FinalizeThrowsTheTicketErrorBeforeALaterUsageDefect) {
+  MonitoringRows rows = monitoring_rows(kServers);
+  ASSERT_GT(rows.usage.size(), 2u * kBlockRows);
+  rows.usage[kBlockRows + 10].server = ServerId{kServers};  // dangling
+  TraceDatabase db = database_with(kServers, rows);
+  Ticket t;
+  t.is_crash = true;
+  t.server = ServerId{kServers + 1000};  // dangling
+  t.incident = db.new_incident();
+  db.add_ticket(std::move(t));
+  EXPECT_EQ(finalize_error(db),
+            "TraceDatabase::finalize: dangling server id in ticket");
+}
+
+TEST(Database, FinalizeThrowsTheSerialMessageForDefectsInSeveralBlocks) {
+  MonitoringRows rows = monitoring_rows(kServers);
+  ASSERT_GT(rows.snapshots.size(), std::size_t{kBlockRows} + 100);
+  ASSERT_GT(rows.usage.size(), 2u * kBlockRows);
+  // Usage defects in two blocks, and a power defect in the first block of
+  // a later table: the usage message wins.
+  {
+    MonitoringRows bad = rows;
+    bad.usage[kBlockRows + 3].server = ServerId{};
+    bad.usage[2 * kBlockRows + 3].server = ServerId{-4};
+    bad.power[0].server = ServerId{kServers + 1};
+    TraceDatabase db = database_with(kServers, bad);
+    EXPECT_EQ(finalize_error(db),
+              "TraceDatabase::finalize: dangling server id in usage");
+  }
+  // Snapshots fail two ways, here in two blocks; the lower row's message
+  // is the one thrown, whichever check it fails.
+  {
+    MonitoringRows bad = rows;
+    bad.snapshots[100].consolidation = 0;
+    bad.snapshots[kBlockRows + 50].server = ServerId{kServers};
+    TraceDatabase db = database_with(kServers, bad);
+    EXPECT_EQ(finalize_error(db),
+              "TraceDatabase::finalize: consolidation must be >= 1");
+  }
+  {
+    MonitoringRows bad = rows;
+    bad.snapshots[100].server = ServerId{kServers};
+    bad.snapshots[kBlockRows + 50].consolidation = 0;
+    TraceDatabase db = database_with(kServers, bad);
+    EXPECT_EQ(finalize_error(db),
+              "TraceDatabase::finalize: dangling server id in snapshot");
+  }
+  // A row that fails both checks reports its server first.
+  {
+    MonitoringRows bad = rows;
+    bad.snapshots[5].server = ServerId{};
+    bad.snapshots[5].consolidation = 0;
+    TraceDatabase db = database_with(kServers, bad);
+    EXPECT_EQ(finalize_error(db),
+              "TraceDatabase::finalize: dangling server id in snapshot");
+  }
+}
+
+// Rows that arrive out of order are sorted by (server, week) before they
+// are indexed, across block boundaries too.
+TEST(Database, UnsortedUsageGivesSortedPerServerSpans) {
+  const MonitoringRows rows = monitoring_rows(kServers);
+  MonitoringRows shuffled = rows;
+  std::mt19937 gen(17);
+  std::shuffle(shuffled.usage.begin(), shuffled.usage.end(), gen);
+  const TraceDatabase sorted = [&] {
+    TraceDatabase db = database_with(kServers, rows);
+    db.finalize();
+    return db;
+  }();
+  TraceDatabase db = database_with(kServers, shuffled);
+  db.finalize();
+  for (int s = 0; s < kServers; ++s) {
+    const auto want = sorted.weekly_usage_for(ServerId{s});
+    const auto got = db.weekly_usage_for(ServerId{s});
+    ASSERT_EQ(got.size(), want.size()) << "server " << s;
+    ASSERT_EQ(got.size(), s % 7 == 0 ? 0u : 1u + s % 53) << "server " << s;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].server, ServerId{s});
+      EXPECT_EQ(got[i].week, static_cast<int>(i));
+      EXPECT_EQ(got[i].cpu_util, want[i].cpu_util);
+    }
+  }
+}
+
+// The index does not depend on the thread count.
+TEST(Database, IndexesAreIdenticalAtOneAndEightThreads) {
+  const MonitoringRows rows = monitoring_rows(kServers);
+  ASSERT_GT(rows.usage.size(), 2u * kBlockRows);
+  std::vector<TraceDatabase> dbs;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    ThreadPool::set_default_thread_count(threads);
+    dbs.push_back(database_with(kServers, rows));
+    dbs.back().finalize();
+  }
+  ThreadPool::set_default_thread_count(0);
+  const TraceDatabase& a = dbs[0];
+  const TraceDatabase& b = dbs[1];
+  const WeeklyUsage* usage_a = a.weekly_usage_for(ServerId{1}).data();
+  const WeeklyUsage* usage_b = b.weekly_usage_for(ServerId{1}).data();
+  for (int s = -1; s <= kServers + 1; ++s) {
+    const ServerId id{s};
+    const auto ua = a.weekly_usage_for(id);
+    const auto ub = b.weekly_usage_for(id);
+    ASSERT_EQ(ua.size(), ub.size()) << "server " << s;
+    if (!ua.empty()) EXPECT_EQ(ua.data() - usage_a, ub.data() - usage_b);
+    EXPECT_EQ(a.power_events_for(id).size(), b.power_events_for(id).size());
+    EXPECT_EQ(a.snapshots_for(id).size(), b.snapshots_for(id).size());
+    if (s >= 0 && s < kServers) {
+      EXPECT_EQ(ua.size(), s % 7 == 0 ? 0u : 1u + s % 53) << "server " << s;
+      EXPECT_EQ(a.power_events_for(id).size(),
+                s % 7 == 0 ? 0u : static_cast<std::size_t>(s % 5));
+      EXPECT_EQ(a.snapshots_for(id).size(),
+                s % 7 == 0 ? 0u : static_cast<std::size_t>(s % 24));
+    }
+  }
 }
 
 }  // namespace

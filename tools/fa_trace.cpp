@@ -49,9 +49,10 @@
 //
 //   fa_trace convert --in DIR|FILE.fac --out DIR|FILE.fac
 //                    [--chunk-rows N]
-//       Bridge CSV <-> columnar: a directory input converts to a columnar
-//       file, a columnar input back to the CSV directory schema (CSV stays
-//       the canonical interchange format). Prints per-column size and
+//       Bridge CSV <-> columnar: the output format follows --out, a
+//       columnar file (N rows per chunk) when it ends in .fac, else the CSV
+//       directory schema (CSV stays the canonical interchange format), so
+//       .fac -> .fac re-chunks a file. Prints per-column size and
 //       dictionary-cardinality statistics for the columnar side.
 //
 //   fa_trace info FILE.fac
@@ -501,28 +502,33 @@ int cmd_convert(const std::vector<std::string>& args) {
   }
   if (in.empty() || out.empty() || chunk_rows == 0) return usage();
 
-  if (trace::is_columnar_file(in)) {
-    const trace::TraceDatabase db = trace::load_columnar(in);
-    trace::save_database(db, out);
-    const trace::ChunkReader reader(in);
-    std::cout << "converted columnar -> CSV: " << db.servers().size()
-              << " servers, " << db.tickets().size() << " tickets to " << out
-              << "\n"
-              << columnar_stats(reader.report());
-    return 0;
+  const bool from_columnar = trace::is_columnar_file(in);
+  if (!from_columnar && !std::filesystem::is_directory(in)) {
+    std::cerr << "convert: '" << in
+              << "' is neither a CSV trace directory nor a columnar file\n";
+    return 1;
   }
-  if (std::filesystem::is_directory(in)) {
-    const trace::TraceDatabase db = trace::load_database(in);
+  const trace::TraceDatabase db =
+      from_columnar ? trace::load_columnar(in) : trace::load_database(in);
+  const char* from = from_columnar ? "columnar" : "CSV";
+  // The output format follows --out: FILE.fac is columnar, anything else a
+  // CSV directory.
+  if (out.ends_with(".fac")) {
     const trace::FileReport report = trace::save_columnar(db, out, chunk_rows);
-    std::cout << "converted CSV -> columnar: " << db.servers().size()
-              << " servers, " << db.tickets().size() << " tickets to " << out
-              << "\n"
+    std::cout << "converted " << from << " -> columnar: "
+              << db.servers().size() << " servers, " << db.tickets().size()
+              << " tickets to " << out << "\n"
               << columnar_stats(report);
     return 0;
   }
-  std::cerr << "convert: '" << in
-            << "' is neither a CSV trace directory nor a columnar file\n";
-  return 1;
+  trace::save_database(db, out);
+  std::cout << "converted " << from << " -> CSV: " << db.servers().size()
+            << " servers, " << db.tickets().size() << " tickets to " << out
+            << "\n";
+  if (from_columnar) {
+    std::cout << columnar_stats(trace::ChunkReader(in).report());
+  }
+  return 0;
 }
 
 // Footer unreadable: the file is truncated or crash-damaged. Print what a
